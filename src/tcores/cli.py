@@ -18,6 +18,9 @@ from . import counting, distribution, hookstats, sampling, verify
 
 SCHEMA_VERSION = 1
 
+# orbit lists all t! permutations: t = 7 takes seconds, t = 8 over half a minute
+ORBIT_MAX_T = 7
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -77,6 +80,11 @@ def _check_t(t: int) -> int:
     return t
 
 
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise SystemExit2(f"{flag} must be at least {low}, got {value}")
+
+
 class SystemExit2(Exception):
     """Usage error distinct from argparse's own SystemExit."""
 
@@ -84,8 +92,10 @@ class SystemExit2(Exception):
 def _cmd_counts(args, out) -> int:
     series = [s.strip() for s in args.series.split(",") if s.strip()]
     valid = {"p", "c", "d", "C"}
-    if not series or any(s not in valid for s in series):
-        raise SystemExit2(f"--series takes a subset of p,c,d,C, got {args.series!r}")
+    if not series or any(s not in valid for s in series) or len(set(series)) < len(series):
+        raise SystemExit2(
+            f"--series takes a subset of p,c,d,C, each once, got {args.series!r}")
+    _check_at_least("--max-n", args.max_n, 0)
     if any(s != "p" for s in series):
         if args.t is None:
             raise SystemExit2("--t is required for the c, d and C series")
@@ -126,6 +136,8 @@ def _cmd_pmf(args, out) -> int:
 
 def _cmd_moments(args, out) -> int:
     _check_t(args.t)
+    _check_at_least("--n", args.n[0], 1)
+    _check_at_least("--max-k", args.max_k, 1)
     params = distribution.gamma_params(args.t)
     rows = []
     for n in args.n:
@@ -141,26 +153,36 @@ def _cmd_moments(args, out) -> int:
     return 0
 
 
+def _cdf_on_grid(pmf, xs: list[float]) -> list[float]:
+    """P(Y <= x sqrt(n)) as a float at each x of an ascending grid."""
+    scale = math.sqrt(pmf.n) if pmf.n else 1.0
+    points = sorted(pmf.weights.items())
+    out, cumulative, i = [], 0, 0
+    for x in xs:
+        while i < len(points) and points[i][0] <= x * scale:
+            cumulative += points[i][1]
+            i += 1
+        # int / int rounds correctly, like float() of the exact mass
+        out.append(cumulative / pmf.denominator)
+    return out
+
+
 def _cmd_figure1(args, out) -> int:
     _check_t(args.t)
     params = distribution.gamma_params(args.t)
     if args.view == "cdf":
-        pmfs = {n: distribution.core_size_pmf(args.t, n) for n in args.n}
+        if not (0 < args.grid_step < math.inf):
+            raise SystemExit2(f"--grid-step must be positive, got {args.grid_step}")
+        if not (0 <= args.grid_max < math.inf):
+            raise SystemExit2(f"--grid-max must be nonnegative, got {args.grid_max}")
         steps = int(round(args.grid_max / args.grid_step))
+        xs = [s * args.grid_step for s in range(steps + 1)]
+        cdfs = [_cdf_on_grid(distribution.core_size_pmf(args.t, n), xs) for n in args.n]
         columns = ["x", *(f"cdf_n{n}" for n in args.n), "gamma_cdf"]
-        rows = []
-        for s in range(steps + 1):
-            x = s * args.grid_step
-            row = [x]
-            for n in args.n:
-                scale = math.sqrt(n) if n else 1.0
-                cum = sum(
-                    (m for k, m in pmfs[n].masses.items() if k <= x * scale),
-                    Fraction(0),
-                )
-                row.append(float(cum))
-            row.append(distribution.gamma_cdf(params, x))
-            rows.append(row)
+        rows = [
+            [x, *(cdf[i] for cdf in cdfs), distribution.gamma_cdf(params, x)]
+            for i, x in enumerate(xs)
+        ]
         _emit(out, args.format, "figure1", columns, rows)
     else:
         rows = []
@@ -175,6 +197,7 @@ def _cmd_figure1(args, out) -> int:
 
 def _cmd_figure2(args, out) -> int:
     _check_t(args.t)
+    _check_at_least("--max-n", args.max_n, 1)
     rows = []
     for n in range(1, args.max_n + 1):
         exact, asym = distribution.expected_core_size(args.t, n)
@@ -205,6 +228,8 @@ def _cmd_hooks(args, out) -> int:
 
 def _cmd_orbit(args, out) -> int:
     _check_t(args.t)
+    if args.t > ORBIT_MAX_T:
+        raise SystemExit2(f"orbit takes t at most {ORBIT_MAX_T}, got {args.t}")
     from .partitions import make_partition
 
     nu = make_partition(args.nu)
@@ -233,6 +258,7 @@ def _cmd_orbit(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
+    _check_at_least("--count", args.count, 1)
     table = sampling.build_sampler(args.n)
     rows = [
         [i, _render_parts(sampling.sample_partition(table, args.seed, i).parts)]
@@ -243,6 +269,8 @@ def _cmd_sample(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    _check_at_least("--max-n", args.max_n, 0)
+    _check_at_least("--samples", args.samples, 1)
     report = verify.run_suite(
         args.suite, max_n=args.max_n, seed=args.seed, samples=args.samples
     )
@@ -312,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hooks)
 
     p = sub.add_parser("orbit", help="quotient-permutation orbit and smoothings")
-    p.add_argument("--t", type=int, default=3)
+    p.add_argument("--t", type=int, default=3, help=f"2..{ORBIT_MAX_T}")
     p.add_argument("--nu", type=_parse_parts, required=True,
                    help="comma-separated parts of a t-divisible partition")
     p.add_argument("--max-b", type=int, default=None)

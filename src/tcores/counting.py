@@ -1,16 +1,19 @@
 """Exact counting engines: p(n), t-core counts, t-divisible counts, their
 running sums, the lattice-point reformulation, and leading-order estimates.
 
-All integer series are computed with arbitrary precision by applying Euler
-factors to a dense truncated power series in place.
+The four integer series share one engine built on the sparse Euler factor
+prod (1 - x^k) (see below).  Each series is kept as one growing list per
+(kind, t); a request extends it from where it stopped and is served as a
+prefix, under one module lock.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -42,92 +45,156 @@ def _require_t(t: int) -> None:
         raise ValueError(f"t must be at least 2, got {t}")
 
 
-@lru_cache(maxsize=None)
-def partition_count_table(max_n: int) -> SeriesTable:
-    """p(0..max_n) from the product of the factors 1/(1 - x^k)."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    a = [0] * (max_n + 1)
-    a[0] = 1
-    for k in range(1, max_n + 1):
-        for n in range(k, max_n + 1):
-            a[n] += a[n - k]
-    return SeriesTable("p", None, tuple(a))
+# ---------------------------------------------------------------------------
+# the series engine
+#
+# Euler's pentagonal theorem makes E(x) = prod_{k>=1} (1 - x^k) sparse:
+# E(x) = sum over all integers k of (-1)^k x^{k(3k-1)/2}.  With P = 1/E:
+#   p    = P, by the pentagonal recurrence (one sparse division),
+#   c_t  = P * E(x^t)^t (Garvan-Kim-Stanton): E^t by t-1 sparse products on
+#          the grid m = n/t, then one sparse division by E(x), so every
+#          intermediate coefficient stays a small integer,
+#   d_t  = P(x^t)^t, so d_t(t*m) = [x^m] P^t: t-1 sparse divisions of P by E,
+#   C_t(n) = C_t(n-t) + c_t(n).
+# Every stage is a list grown in place, so a longer request resumes where the
+# last one stopped and a shorter one is served as a prefix.
+
+_LOCK = threading.Lock()
+_E: list[int] = []                                  # E(x), densely
+_P: list[int] = [1]
+_EULER_POWERS: dict[int, list[list[int]]] = {}      # t -> E^j, j = 2..t, at m = n/t
+_CORES: dict[int, list[int]] = {}
+_QUOTIENT_STAGES: dict[int, list[list[int]]] = {}   # t -> P^j, j = 2..t, at m = n/t
+_DIVISIBLE: dict[int, list[int]] = {}
+_CORE_SUMS: dict[int, list[int]] = {}
 
 
-@lru_cache(maxsize=None)
-def partition_count_pentagonal(max_n: int) -> SeriesTable:
-    """p(0..max_n) again, via the pentagonal-number recurrence.
+def clear_tables() -> None:
+    """Drop every grown series; the next request rebuilds from scratch."""
+    with _LOCK:
+        _E.clear()
+        del _P[1:]
+        for store in (_EULER_POWERS, _CORES, _QUOTIENT_STAGES, _DIVISIBLE, _CORE_SUMS):
+            store.clear()
 
-    Independent of the product expansion; the two must agree bit for bit.
-    """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    p = [0] * (max_n + 1)
-    p[0] = 1
-    for n in range(1, max_n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
+
+def _pentagonal_terms(limit: int) -> list[tuple[int, int]]:
+    """(g, sign) for the terms sign * x^g of E(x) with 0 < g <= limit, in
+    increasing g."""
+    terms = []
+    k = 1
+    while True:
+        sign = -1 if k % 2 else 1
+        g = k * (3 * k - 1) // 2
+        if g > limit:
+            return terms
+        terms.append((g, sign))
+        if g + k <= limit:
+            terms.append((g + k, sign))
+        k += 1
+
+
+def _euler_store(hi: int) -> list[int]:
+    if len(_E) <= hi:
+        coefficients = {0: 1, **dict(_pentagonal_terms(hi))}
+        _E.extend(coefficients.get(n, 0) for n in range(len(_E), hi + 1))
+    return _E
+
+
+def _multiply_grow(out: list[int], src: list[int], hi: int) -> None:
+    """Extend out = src * E(x) through index hi."""
+    lo = len(out)
+    if lo > hi:
+        return
+    new = src[lo:hi + 1]
+    for g, sign in _pentagonal_terms(hi):
+        start = max(lo, g)
+        tail = new[start - lo:]
+        segment = src[start - g:hi + 1 - g]
+        new[start - lo:] = map(operator.sub if sign < 0 else operator.add, tail, segment)
+    out.extend(new)
+
+
+def _divide_grow(q: list[int], src: list[int] | None, hi: int, step: int = 1) -> None:
+    """Extend q = src(x^step) / E(x) through index hi; src None is the zero
+    series, for a q seeded with its leading terms."""
+    terms = _pentagonal_terms(hi)
+    for m in range(len(q), hi + 1):
+        total = src[m // step] if src is not None and m % step == 0 else 0
+        for g, sign in terms:
+            if g > m:
                 break
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return SeriesTable("p", None, tuple(p))
+            if sign < 0:
+                total += q[m - g]
+            else:
+                total -= q[m - g]
+        q.append(total)
 
 
-@lru_cache(maxsize=None)
+def _partition_store(hi: int) -> list[int]:
+    _divide_grow(_P, None, hi)
+    return _P
+
+
+def _core_store(t: int, hi: int) -> list[int]:
+    grid = hi // t
+    power = _euler_store(grid)
+    for stage in _EULER_POWERS.setdefault(t, [[] for _ in range(t - 1)]):
+        _multiply_grow(stage, power, grid)
+        power = stage
+    out = _CORES.setdefault(t, [])
+    _divide_grow(out, power, hi, t)
+    return out
+
+
+def _divisible_store(t: int, hi: int) -> list[int]:
+    grid = hi // t
+    power = _partition_store(grid)
+    for stage in _QUOTIENT_STAGES.setdefault(t, [[] for _ in range(t - 1)]):
+        _divide_grow(stage, power, grid)
+        power = stage
+    out = _DIVISIBLE.setdefault(t, [])
+    out.extend(0 if n % t else power[n // t] for n in range(len(out), hi + 1))
+    return out
+
+
+def _core_sum_store(t: int, hi: int) -> list[int]:
+    out = _CORE_SUMS.setdefault(t, [])
+    c = _core_store(t, hi)
+    for n in range(len(out), hi + 1):
+        out.append(c[n] + out[n - t] if n >= t else c[n])
+    return out
+
+
+def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    with _LOCK:
+        values = store(max_n) if t is None else store(t, max_n)
+        return SeriesTable(kind, t, tuple(values[:max_n + 1]))
+
+
+def partition_count_table(max_n: int) -> SeriesTable:
+    """p(0..max_n) by the pentagonal-number recurrence."""
+    return _serve("p", None, max_n, _partition_store)
+
+
 def core_count_table(t: int, max_n: int) -> SeriesTable:
-    """c_t(0..max_n): coefficients of the product of (1-x^{tk})^t / (1-x^k).
-
-    Numerator and denominator factors are interleaved per k to keep the
-    intermediate coefficients small.
-    """
+    """c_t(0..max_n): coefficients of the product of (1-x^{tk})^t / (1-x^k)."""
     _require_t(t)
-    a = [0] * (max_n + 1)
-    a[0] = 1
-    for k in range(1, max_n + 1):
-        for n in range(k, max_n + 1):          # divide by (1 - x^k)
-            a[n] += a[n - k]
-        m = t * k
-        if m <= max_n:
-            for _ in range(t):                 # multiply by (1 - x^{tk})^t
-                for n in range(max_n, m - 1, -1):
-                    a[n] -= a[n - m]
-    return SeriesTable("c", t, tuple(a))
+    return _serve("c", t, max_n, _core_store)
 
 
-@lru_cache(maxsize=None)
 def divisible_count_table(t: int, max_n: int) -> SeriesTable:
     """d_t(0..max_n): coefficients of the product of 1/(1-x^{tk})^t."""
     _require_t(t)
-    a = [0] * (max_n + 1)
-    a[0] = 1
-    k = 1
-    while t * k <= max_n:
-        m = t * k
-        for _ in range(t):
-            for n in range(m, max_n + 1):
-                a[n] += a[n - m]
-        k += 1
-    return SeriesTable("d", t, tuple(a))
+    return _serve("d", t, max_n, _divisible_store)
 
 
-@lru_cache(maxsize=None)
 def core_sum_table(t: int, max_n: int) -> SeriesTable:
     """C_t(0..max_n) where C_t(n) = C_t(n-t) + c_t(n)."""
     _require_t(t)
-    c = core_count_table(t, max_n)
-    out = list(c.values)
-    for n in range(t, max_n + 1):
-        out[n] += out[n - t]
-    return SeriesTable("C", t, tuple(out))
+    return _serve("C", t, max_n, _core_sum_store)
 
 
 def core_sum(t: int, n: int) -> int:

@@ -1,15 +1,16 @@
 """Exact distribution of the t-core size of a uniform random partition and
 its comparison with the limiting gamma law.
 
-Every probability mass is an exact rational assembled from the counting
-tables; floating point enters only at the comparison boundary (gamma CDF,
-scaled moments, sup distances).
+Every probability mass is an exact rational: an integer weight from the
+counting tables over the common denominator p(n).  Floating point enters
+only at the comparison boundary (gamma CDF, scaled moments, sup distances).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .counting import (
     core_count_table,
@@ -106,19 +107,26 @@ def gamma_moment(params: GammaParams, k: int) -> float:
 class CoreSizePMF:
     """Exact law of the t-core size over uniform partitions of n.
 
-    masses maps each achievable core size k to c_t(k) * d_t(n-k) / p(n); the
-    support lies in {k <= n : k = n mod t} and the masses sum to exactly 1.
+    weights maps each achievable core size k to c_t(k) * d_t(n-k), and every
+    mass is weight / denominator with denominator = p(n); the support lies in
+    {k <= n : k = n mod t} and the weights sum to exactly p(n).
     """
 
     t: int
     n: int
-    masses: dict[int, Fraction]
+    weights: dict[int, int]
+    denominator: int
+
+    @cached_property
+    def masses(self) -> dict[int, Fraction]:
+        """k -> c_t(k) * d_t(n-k) / p(n) as reduced fractions."""
+        return {k: Fraction(w, self.denominator) for k, w in self.weights.items()}
 
     def support(self) -> list[int]:
-        return sorted(self.masses)
+        return sorted(self.weights)
 
     def total(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
+        return Fraction(sum(self.weights.values()), self.denominator)
 
 
 def core_size_pmf(t: int, n: int) -> CoreSizePMF:
@@ -128,13 +136,12 @@ def core_size_pmf(t: int, n: int) -> CoreSizePMF:
         raise ValueError("n must be nonnegative")
     cores = core_count_table(t, n)
     divis = divisible_count_table(t, n)
-    total = partition_count_table(n)[n]
-    masses: dict[int, Fraction] = {}
+    weights: dict[int, int] = {}
     for k in range(n % t, n + 1, t):
         weight = cores[k] * divis[n - k]
         if weight:
-            masses[k] = Fraction(weight, total)
-    return CoreSizePMF(t, n, masses)
+            weights[k] = weight
+    return CoreSizePMF(t, n, weights, partition_count_table(n)[n])
 
 
 def scaled_moment(pmf: CoreSizePMF, k: int) -> float:
@@ -144,10 +151,10 @@ def scaled_moment(pmf: CoreSizePMF, k: int) -> float:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0
-    raw = sum((Fraction(j) ** k) * mass for j, mass in pmf.masses.items())
+    raw = sum(j**k * w for j, w in pmf.weights.items())
     if raw == 0:
         return 0.0
-    return float(raw) / pmf.n ** (k / 2.0)
+    return float(Fraction(raw, pmf.denominator)) / pmf.n ** (k / 2.0)
 
 
 def cdf_sup_distance(
@@ -167,13 +174,15 @@ def cdf_sup_distance(
         return 1.0
     scale = math.sqrt(pmf.n)
     best = 0.0
-    cumulative = Fraction(0)
-    for j in sorted(pmf.masses):
+    cumulative = 0
+    # int / int rounds correctly, so each value equals float() of the
+    # exact cumulative mass
+    for j in sorted(pmf.weights):
         g = gamma_cdf(params, j / scale)
-        best = max(best, abs(float(cumulative) - g))
-        cumulative += pmf.masses[j]
+        best = max(best, abs(cumulative / pmf.denominator - g))
+        cumulative += pmf.weights[j]
         if two_sided:
-            best = max(best, abs(float(cumulative) - g))
+            best = max(best, abs(cumulative / pmf.denominator - g))
     return best
 
 
@@ -182,7 +191,7 @@ def expected_core_size(t: int, n: int) -> tuple[Fraction, float]:
     if n < 1:
         raise ValueError("n must be positive")
     pmf = core_size_pmf(t, n)
-    exact = sum(Fraction(j) * mass for j, mass in pmf.masses.items())
+    exact = Fraction(sum(j * w for j, w in pmf.weights.items()), pmf.denominator)
     asymptote = (t - 1) * math.sqrt(6.0 * n) / (2.0 * math.pi)
     return exact, asymptote
 

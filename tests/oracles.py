@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the abacus machinery so that each production code
-path is checked against a second route: quotients from cell contents, cores
-from exhaustive rim-hook stripping, and core membership from raw hook scans.
+These deliberately avoid the abacus machinery and the sparse series engine so
+that each production code path is checked against a second route: quotients
+from cell contents, cores from exhaustive rim-hook stripping, core membership
+from raw hook scans, and counting series from dense products of Euler factors.
 """
 from __future__ import annotations
 
@@ -63,3 +64,49 @@ def all_stripping_results(shape: PartitionShape, t: int) -> set[PartitionShape]:
         return frozenset(results)
 
     return {PartitionShape(p) for p in explore(shape.parts)}
+
+
+def partition_counts_by_products(max_n: int) -> tuple[int, ...]:
+    """p(0..max_n) from the product of the factors 1/(1 - x^k)."""
+    a = [0] * (max_n + 1)
+    a[0] = 1
+    for k in range(1, max_n + 1):
+        for n in range(k, max_n + 1):
+            a[n] += a[n - k]
+    return tuple(a)
+
+
+def core_counts_by_products(t: int, max_n: int) -> tuple[int, ...]:
+    """c_t(0..max_n) from the product of (1-x^{tk})^t / (1-x^k), factor by
+    factor, interleaved per k to keep the intermediate coefficients small."""
+    a = [0] * (max_n + 1)
+    a[0] = 1
+    for k in range(1, max_n + 1):
+        for n in range(k, max_n + 1):          # divide by (1 - x^k)
+            a[n] += a[n - k]
+        m = t * k
+        if m <= max_n:
+            for _ in range(t):                 # multiply by (1 - x^{tk})^t
+                for n in range(max_n, m - 1, -1):
+                    a[n] -= a[n - m]
+    return tuple(a)
+
+
+def divisible_counts_by_products(t: int, max_n: int) -> tuple[int, ...]:
+    """d_t(0..max_n) from the product of 1/(1-x^{tk})^t, factor by factor."""
+    a = [0] * (max_n + 1)
+    a[0] = 1
+    k = 1
+    while t * k <= max_n:
+        m = t * k
+        for _ in range(t):
+            for n in range(m, max_n + 1):
+                a[n] += a[n - m]
+        k += 1
+    return tuple(a)
+
+
+def core_sums_by_products(t: int, max_n: int) -> tuple[int, ...]:
+    """C_t(0..max_n) as sum_i c_t(n - i t) over the dense c_t oracle."""
+    c = core_counts_by_products(t, max_n)
+    return tuple(sum(c[n - i * t] for i in range(n // t + 1)) for n in range(max_n + 1))

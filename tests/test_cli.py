@@ -226,3 +226,26 @@ def test_verify_suite_csv(capsys):
 
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert run(["verify", "--suite", "unknown"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "counts --t 3 --max-n -1 --series c",
+    "counts --t 3 --max-n -1 --series d",
+    "counts --t 3 --max-n 5 --series c,c",
+    "verify --max-n -3",
+    "verify --suite sampling --max-n 3 --samples 0",
+    "figure1 --grid-step 0",
+    "figure1 --grid-step -0.1",
+    "sample --n 5 --count -3",
+    "figure2 --max-n -5",
+    "moments --t 3 --n 0",
+    "moments --t 3 --n 5 --max-k 0",
+    "orbit --t 12 --nu 1",
+    "orbit --t 8 --nu 1",
+])
+def test_bad_input_is_refused_in_one_line(capsys, argv):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tcores: error: ")

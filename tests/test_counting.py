@@ -1,14 +1,39 @@
 import math
+import sys
+import threading
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from tcores import counting
 from tcores.corequotient import core, is_core
 from tcores.partitions import enumerate_partitions
 
 P_100 = 190569292
 P_1000 = 24061467864032622473692149727991
+
+ORACLE_N = 400
+TABLES = {
+    "p": lambda t, n: counting.partition_count_table(n),
+    "c": counting.core_count_table,
+    "d": counting.divisible_count_table,
+    "C": counting.core_sum_table,
+}
+
+
+@lru_cache(maxsize=None)
+def dense_oracle(kind, t):
+    """The kind's series through ORACLE_N from dense Euler-factor products."""
+    if kind == "p":
+        return oracles.partition_counts_by_products(ORACLE_N)
+    build = {
+        "c": oracles.core_counts_by_products,
+        "d": oracles.divisible_counts_by_products,
+        "C": oracles.core_sums_by_products,
+    }[kind]
+    return build(t, ORACLE_N)
 
 
 def test_partition_table_basics():
@@ -26,13 +51,68 @@ def test_partition_counts_match_enumeration():
 
 
 def test_two_partition_count_routes_agree():
-    product = counting.partition_count_table(300)
-    pentagonal = counting.partition_count_pentagonal(300)
-    assert product.values == pentagonal.values
+    pentagonal = counting.partition_count_table(300)
+    assert pentagonal.values == oracles.partition_counts_by_products(300)
 
 
 def test_p_1000_known_value():
-    assert counting.partition_count_pentagonal(1000)[1000] == P_1000
+    assert counting.partition_count_table(1000)[1000] == P_1000
+    assert oracles.partition_counts_by_products(1000)[1000] == P_1000
+
+
+@pytest.mark.parametrize("kind", "pcdC")
+def test_every_table_rejects_negative_max_n(kind):
+    with pytest.raises(ValueError):
+        TABLES[kind](3, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from("pcdC"), st.integers(2, 11), st.integers(0, ORACLE_N)),
+    min_size=1, max_size=8,
+))
+def test_grown_tables_match_dense_oracles(requests):
+    # any order of requests, growing or shrinking, serves exact prefixes
+    counting.clear_tables()
+    for kind, t, max_n in requests:
+        table = TABLES[kind](t, max_n)
+        assert table.kind == kind and table.t == (None if kind == "p" else t)
+        assert table.values == dense_oracle(kind, t)[:max_n + 1]
+
+
+def test_threads_extend_one_store():
+    # four threads on two cores, switching often: a lost or doubled append
+    # would shift every later coefficient
+    counting.clear_tables()
+    plans = [(40, 120, 260, ORACLE_N), (ORACLE_N, 399, 15, 333),
+             (7, 300, 8, 350), (390, 1, 200, 399)]
+    start = threading.Barrier(len(plans))
+    served = [[] for _ in plans]
+
+    def work(sizes, out):
+        start.wait()
+        for n in sizes:
+            out.append(counting.core_sum_table(7, n))
+
+    threads = [threading.Thread(target=work, args=(sizes, out))
+               for sizes, out in zip(plans, served)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = dense_oracle("C", 7)
+    for sizes, tables in zip(plans, served):
+        assert [table.max_n for table in tables] == list(sizes)
+        for table in tables:
+            assert table.values == expected[:len(table)]
+    assert counting.core_sum_table(7, ORACLE_N).values == expected
+    assert counting.core_count_table(7, ORACLE_N).values == dense_oracle("c", 7)
 
 
 def test_core_table_small_values():

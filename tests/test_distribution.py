@@ -23,6 +23,7 @@ def test_gamma_params():
 
 def test_pmf_example_t3_n4():
     pmf = dist.core_size_pmf(3, 4)
+    assert pmf.weights == {1: 3, 4: 2} and pmf.denominator == 5
     assert pmf.masses == {1: Fraction(3, 5), 4: Fraction(2, 5)}
     assert pmf.total() == 1
 
