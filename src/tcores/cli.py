@@ -8,6 +8,7 @@ byte-identical output for the data subcommands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,6 +21,10 @@ SCHEMA_VERSION = 1
 
 # orbit lists all t! permutations: t = 7 takes seconds, t = 8 over half a minute
 ORBIT_MAX_T = 7
+
+# figure1's CDF grid has round(grid_max / grid_step) + 1 rows; 10^5 rows with
+# the three default n take about 1.2 s and 60 MB
+FIGURE1_MAX_ROWS = 100_000
 
 
 def _fmt(value) -> str:
@@ -175,8 +180,12 @@ def _cmd_figure1(args, out) -> int:
             raise SystemExit2(f"--grid-step must be positive, got {args.grid_step}")
         if not (0 <= args.grid_max < math.inf):
             raise SystemExit2(f"--grid-max must be nonnegative, got {args.grid_max}")
-        steps = int(round(args.grid_max / args.grid_step))
-        xs = [s * args.grid_step for s in range(steps + 1)]
+        steps = args.grid_max / args.grid_step       # inf if it overflows
+        if not steps < FIGURE1_MAX_ROWS - 0.5:      # round(steps) + 1 rows
+            raise SystemExit2(
+                f"the figure1 grid takes at most {FIGURE1_MAX_ROWS} rows, "
+                f"got --grid-max {args.grid_max} over --grid-step {args.grid_step}")
+        xs = [s * args.grid_step for s in range(round(steps) + 1)]
         cdfs = [_cdf_on_grid(distribution.core_size_pmf(args.t, n), xs) for n in args.n]
         columns = ["x", *(f"cdf_n{n}" for n in args.n), "gamma_cdf"]
         rows = [
@@ -283,7 +292,9 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="tcores",
         description="Exact t-core combinatorics: tables, distributions, "

@@ -3,11 +3,14 @@
 These deliberately avoid the abacus machinery and the sparse series engine so
 that each production code path is checked against a second route: quotients
 from cell contents, cores from exhaustive rim-hook stripping, core membership
-from raw hook scans, and counting series from dense products of Euler factors.
+from raw hook scans, counting series from dense products of Euler factors,
+and sampler rows from the cell-by-cell recurrence with one bisection per part.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from typing import Sequence
 
 from tcores.partitions import (
     Cell,
@@ -110,3 +113,32 @@ def core_sums_by_products(t: int, max_n: int) -> tuple[int, ...]:
     """C_t(0..max_n) as sum_i c_t(n - i t) over the dense c_t oracle."""
     c = core_counts_by_products(t, max_n)
     return tuple(sum(c[n - i * t] for i in range(n // t + 1)) for n in range(max_n + 1))
+
+
+def sampler_rows_dense(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of count(m, k), partitions of m with parts <= k, k <= m,
+    filled cell by cell from count(m, k) = count(m, k-1) + count(m-k, k)."""
+    rows: list[tuple[int, ...]] = [(1,)]
+    for m in range(1, n + 1):
+        row = [0]
+        for k in range(1, m + 1):
+            below = rows[m - k]
+            smaller = below[k] if k < len(below) else below[-1]
+            row.append(row[k - 1] + smaller)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def unrank_by_bisection(rows: Sequence[Sequence[int]], n: int, rank: int) -> tuple[int, ...]:
+    """Parts of the partition of n at a rank: each next part j is the least
+    value whose count of partitions with parts <= j exceeds the rank."""
+    m = cap = n
+    parts = []
+    while m > 0:
+        row = rows[m]
+        j = bisect_right(row, rank, 0, min(cap, m) + 1)
+        parts.append(j)
+        rank -= row[j - 1]
+        m -= j
+        cap = j
+    return tuple(parts)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tcores.cli import run
+from tcores.cli import ORBIT_MAX_T, run
+from tcores.sampling import SAMPLER_MAX_N
 
 
 def run_capture(capsys, *argv):
@@ -242,6 +246,10 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "moments --t 3 --n 5 --max-k 0",
     "orbit --t 12 --nu 1",
     "orbit --t 8 --nu 1",
+    f"sample --n {SAMPLER_MAX_N + 1}",
+    f"hooks --t 3 --n {SAMPLER_MAX_N + 1} --mode sample --samples 5",
+    "figure1 --grid-max 1e9 --grid-step 1e-9",
+    "figure1 --grid-max 1e300 --grid-step 1e-300",
 ])
 def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert run(argv.split()) == 2
@@ -249,3 +257,75 @@ def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tcores: error: ")
+
+
+def test_parser_is_reused_across_calls(capsys):
+    argv = ["counts", "--t", "3", "--max-n", "30"]
+    assert run(argv) == 0
+    first = capsys.readouterr()
+    assert run(["sample", "--n", "5", "--count", "0"]) == 2
+    refused = capsys.readouterr()
+    assert run(argv) == 0
+    second = capsys.readouterr()
+    assert first.out and second.out == first.out
+    assert first.err == second.err == ""
+    assert refused.out == ""
+    assert len(refused.err.splitlines()) == 1
+
+
+def _fuzz_argv():
+    """A subcommand with small arguments, valid and invalid; the options that
+    set the cost (verify's --suite and --max-n, the --samples counts) are
+    always given."""
+    small = st.integers(-3, 12).map(str)
+    listed = st.lists(st.integers(-3, 12), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    choices = {
+        "counts": {"--t": small, "--max-n": small,
+                   "--series": st.sampled_from(["p", "c,d", "p,c,d,C", "C,C", "x", ""])},
+        "pmf": {"--t": small, "--n": small},
+        "moments": {"--t": small, "--n": listed, "--max-k": small},
+        "figure1": {"--t": small, "--n": listed,
+                    "--view": st.sampled_from(["cdf", "density"]),
+                    "--grid-max": st.floats(-1.0, 1e12).map(repr),
+                    "--grid-step": st.sampled_from(["0", "-0.5", "nan", "inf", "1e-12", "0.25"])},
+        "figure2": {"--t": small, "--max-n": small},
+        "hooks": {"--t": small, "--n": small, "--seed": small,
+                  "--mode": st.sampled_from(["exact", "sample"])},
+        "orbit": {"--t": st.sampled_from(["-1", "1", "2", "3", "4", str(ORBIT_MAX_T + 1)]),
+                  "--nu": listed, "--max-b": small},
+        "sample": {"--n": small, "--count": small, "--seed": small},
+        "verify": {"--seed": small},
+    }
+    always = {
+        "hooks": {"--samples": st.integers(-3, 300).map(str)},
+        "verify": {"--suite": st.sampled_from(["partitions", "abacus", "counting",
+                                               "distribution", "sampling", "bogus"]),
+                   "--max-n": st.integers(-3, 8).map(str),
+                   "--samples": st.integers(-3, 300).map(str)},
+    }
+
+    @st.composite
+    def argv(draw):
+        name = draw(st.sampled_from(sorted(choices)))
+        flags = draw(st.lists(st.sampled_from(sorted(choices[name])), unique=True))
+        words = [name]
+        for flag, value in [*((f, choices[name][f]) for f in flags),
+                            *always.get(name, {}).items()]:
+            words += [flag, draw(value)]
+        return words
+
+    return argv()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzz_argv())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert argv[0] == "verify"
+    if code == 2:
+        assert out.getvalue() == ""

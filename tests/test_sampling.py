@@ -1,11 +1,23 @@
+import random
+import sys
+import threading
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sampler_rows_dense, unrank_by_bisection
 from tcores import sampling as sp
 from tcores.counting import partition_count_table
 from tcores.partitions import EMPTY, enumerate_partitions, make_partition
+
+ORACLE_N = 600
+
+
+@cache
+def dense_rows() -> tuple[tuple[int, ...], ...]:
+    return sampler_rows_dense(ORACLE_N)
 
 
 def test_table_values():
@@ -96,3 +108,73 @@ def test_empirical_uniformity_n8():
 def test_build_sampler_rejects_negative():
     with pytest.raises(ValueError):
         sp.build_sampler(-1)
+
+
+def test_build_sampler_refuses_above_budget_without_building():
+    sp.clear_tables()
+    sp.build_sampler(5)
+    with pytest.raises(ValueError, match=str(sp.SAMPLER_MAX_N)):
+        sp.build_sampler(sp.SAMPLER_MAX_N + 1)
+    assert len(sp._ROWS) == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=8))
+def test_grown_rows_match_dense_oracle(sizes):
+    # any order of requests, growing or shrinking, serves exact prefixes
+    sp.clear_tables()
+    for n in sizes:
+        table = sp.build_sampler(n)
+        assert table.n == n
+        assert table.rows == dense_rows()[:n + 1]
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_unrank_matches_bisection_oracle_at_every_rank(n):
+    table = sp.build_sampler(n)
+    rows = dense_rows()
+    for rank in range(table.total):
+        assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, n, rank)
+
+
+def test_unrank_matches_bisection_oracle_at_large_n():
+    table = sp.build_sampler(ORACLE_N)
+    rows = dense_rows()
+    rng = random.Random(600)
+    for _ in range(2000):
+        rank = rng.randrange(table.total)
+        assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, ORACLE_N, rank)
+
+
+def test_threads_extend_one_store():
+    # four threads on two cores, switching often: a lost or doubled row would
+    # shift every later row
+    sp.clear_tables()
+    plans = [(40, 120, 260, 400), (400, 399, 15, 333),
+             (7, 300, 8, 350), (390, 1, 200, 399)]
+    start = threading.Barrier(len(plans))
+    served = [[] for _ in plans]
+
+    def work(sizes, out):
+        start.wait()
+        for n in sizes:
+            out.append(sp.build_sampler(n))
+
+    threads = [threading.Thread(target=work, args=(sizes, out))
+               for sizes, out in zip(plans, served)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = dense_rows()
+    for sizes, tables in zip(plans, served):
+        assert [table.n for table in tables] == list(sizes)
+        for table in tables:
+            assert table.rows == expected[:table.n + 1]
+    assert len(sp._ROWS) == 401
