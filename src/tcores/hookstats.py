@@ -141,8 +141,7 @@ def sampled_residue_distribution(
         raise ValueError("samples must be positive")
     table = sampling.build_sampler(n)
     counts = [0] * t
-    for index in range(samples):
-        rng = sampling.stream_rng(seed, index)
+    for rng in sampling.stream_rngs(seed, samples):
         shape = sampling.unrank_partition(table, rng.randrange(table.total))
         counts[_random_cell_residue(shape, t, rng.randrange(n))] += 1
     estimates = tuple(c / samples for c in counts)

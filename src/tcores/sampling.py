@@ -9,13 +9,15 @@ the draw, so the distribution over partitions is exactly uniform and every
 sample is a pure function of (seed, index).
 
 Row m of the table does not depend on n, so one list of rows, grown on demand,
-serves every n as a prefix.
+serves every n as a prefix.  Only the lower half of each row is stored; the
+upper half follows from one running sum of p.
 """
 from __future__ import annotations
 
 import random
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -27,56 +29,69 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class SamplerTable:
-    """counts[m][k] = number of partitions of m with every part <= k.
+    """The counts count(m, k) of partitions of m with every part <= k, m <= n.
 
-    Rows are stored triangularly (k <= m) since the count is constant for
-    k >= m; count() clamps.  counts[n][n] equals p(n).
+    rows[m] holds the lower half of row m, k = 0..m//2.  Above it a partition
+    of m with largest part j > m/2 leaves a remainder m - j < j that no cap
+    constrains, so count(m, k) = count(m, m//2) + sums[m - m//2] - sums[m - k]
+    with sums[i] = p(0) + ... + p(i - 1).  count() is the accessor for every
+    k >= 0 and clamps k >= m to p(m); total is p(n).
     """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+    sums: tuple[int, ...]
+    total: int
 
     def count(self, m: int, k: int) -> int:
         row = self.rows[m]
-        return row[k] if k < len(row) else row[-1]
+        if k < len(row):
+            return row[k]
+        sums = self.sums
+        return row[-1] + sums[m - len(row) + 1] - sums[m - k if k < m else 0]
 
-    @property
-    def total(self) -> int:
-        return self.rows[self.n][-1]
 
-
-# The largest n build_sampler serves.  The rows hold about n^2/2 integers of
-# up to log2 p(n) bits; one process running `sample --n N --count 10` peaks at
-# about 300 MB of RSS for N = 3000 and 550 MB for N = 4000.
+# The largest n build_sampler serves.  The half rows hold about n^2/4
+# integers of up to log2 p(n) bits; one process running
+# `sample --n N --count 10` peaks at about 160 MB of RSS for N = 3000 and
+# 280 MB for N = 4000.
 SAMPLER_MAX_N = 4000
 
-# the rows 0..len-1, shared by every table and extended in place under the lock
+# the half rows 0..len-1 and the prefix sums of p over them, sums[i] =
+# p(0) + ... + p(i - 1) for i <= len; shared by every table and extended in
+# place under the lock
 _LOCK = threading.Lock()
 _ROWS: list[tuple[int, ...]] = [(1,)]
+_SUMS: list[int] = [0, 1]
 
 
 def clear_tables() -> None:
     """Drop the grown rows; the next request rebuilds from scratch."""
     with _LOCK:
         del _ROWS[1:]
+        del _SUMS[2:]
 
 
 def _grow(n: int) -> None:
-    """Extend the rows through m = n.  Row m accumulates count(m - k, k) over
-    k = 1..m; that is row m - k at k while k <= m/2, and p(m - k) beyond."""
-    rows = _ROWS
+    """Extend the rows and sums through m = n.  Row m accumulates
+    count(m - k, k) over k = 1..m//2: a stored entry of row m - k while
+    k <= m/3, and p(m - k) - sums[m - 2k] beyond, where k > (m - k)/2."""
+    rows, sums = _ROWS, _SUMS
     for m in range(len(rows), n + 1):
-        half = m // 2
-        smaller = [rows[m - k][k] for k in range(1, half + 1)]
-        smaller += [rows[j][-1] for j in range(m - half - 1, -1, -1)]
-        rows.append(tuple(accumulate(smaller, initial=0)))
+        third, half = m // 3, m // 2
+        smaller = [rows[m - k][k] for k in range(1, third + 1)]
+        smaller += [sums[m - k + 1] - sums[m - k] - sums[m - 2 * k]
+                    for k in range(third + 1, half + 1)]
+        row = tuple(accumulate(smaller, initial=0))
+        rows.append(row)
+        sums.append(sums[m] + row[-1] + sums[m - half])
 
 
 def build_sampler(n: int) -> SamplerTable:
     """The table for partitions of n, a prefix of the shared grown rows.
 
     n above SAMPLER_MAX_N is refused before anything is allocated: the table
-    at the cap alone takes about 550 MB.
+    at the cap alone takes about 280 MB.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -84,7 +99,8 @@ def build_sampler(n: int) -> SamplerTable:
         raise ValueError(f"the sampler takes n at most {SAMPLER_MAX_N}, got {n}")
     with _LOCK:
         _grow(n)
-        return SamplerTable(n, tuple(_ROWS[:n + 1]))
+        total = _SUMS[n + 1] - _SUMS[n]
+        return SamplerTable(n, tuple(_ROWS[:n + 1]), tuple(_SUMS[:n + 2]), total)
 
 
 def unrank_partition(table: SamplerTable, rank: int) -> PartitionShape:
@@ -92,17 +108,32 @@ def unrank_partition(table: SamplerTable, rank: int) -> PartitionShape:
 
     Ranks 0 .. p(n)-1 enumerate every partition of n exactly once: at each
     step the next (largest remaining) part j is the least value whose
-    cumulative count exceeds the rank.  Once parts are capped at 2 the rest
-    is closed form: count(m, 1) = 1, so rank r takes r twos, then ones.
+    cumulative count exceeds the rank.  A part above m/2 lies past the
+    stored half row; it is found by bisecting the prefix sums of p instead.
+    Once parts are capped at 2 the rest is closed form: count(m, 1) = 1, so
+    rank r takes r twos, then ones.
     """
     if not 0 <= rank < table.total:
         raise ValueError(f"rank must lie in [0, {table.total}), got {rank}")
-    rows = table.rows
+    rows, sums = table.rows, table.sums
     m = cap = table.n
     parts = []
     while cap > 2 and m > 0:
         row = rows[m]
-        j = bisect_right(row, rank, 0, (cap if cap < m else m) + 1)
+        if cap < len(row):
+            j = bisect_right(row, rank, 0, cap + 1)
+        elif rank < row[-1]:
+            j = bisect_right(row, rank)
+        else:
+            # count(m, j) = p(m) - sums[m - j] for j >= m/2: the part is
+            # j = m - i for the largest i with sums[i] < p(m) - rank
+            edge = m - len(row) + 1
+            target = row[-1] + sums[edge] - rank
+            i = bisect_left(sums, target, 0, edge) - 1
+            parts.append(m - i)
+            rank = sums[i + 1] - target
+            m, cap = i, m - i
+            continue
         parts.append(j)
         rank -= row[j - 1]
         m -= j
@@ -120,12 +151,21 @@ def _mix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream_rng(seed: int, index: int) -> random.Random:
-    """Per-sample generator; state depends only on (seed, index)."""
-    return random.Random(_mix64(seed, index))
+def stream_rngs(seed: int, count: int) -> Iterator[random.Random]:
+    """The generators for indices 0..count-1 of one stream, in order.
+
+    One generator is re-seeded in place for each index: Random.seed(x) sets
+    the state Random(x) starts from, so index i yields the state of
+    Random(_mix64(seed, i)), which depends only on (seed, i).  Each yielded
+    generator is valid until the next one is requested.
+    """
+    rng = random.Random()
+    for index in range(count):
+        rng.seed(_mix64(seed, index))
+        yield rng
 
 
 def sample_partition(table: SamplerTable, seed: int, index: int) -> PartitionShape:
     """Exactly uniform partition of n, a pure function of (seed, index)."""
-    rng = stream_rng(seed, index)
+    rng = random.Random(_mix64(seed, index))
     return unrank_partition(table, rng.randrange(table.total))

@@ -678,6 +678,12 @@ def check_sampler_table(max_n: int) -> CaseResult:
     for m in range(limit + 1):
         if table.count(m, m) != p[m]:
             return _case("sampler_table", {"m": m}, False, "row total wrong")
+        # cells past m/2 are derived from sums of p, so the recurrence
+        # crosses the stored and the derived half of each row
+        for k in range(1, m + 1):
+            if table.count(m, k) != table.count(m, k - 1) + table.count(m - k, k):
+                return _case("sampler_table", {"m": m, "k": k}, False,
+                             "recurrence fails")
     return _case("sampler_table", {"max_n": limit}, True)
 
 

@@ -4,12 +4,16 @@ These deliberately avoid the abacus machinery and the sparse series engine so
 that each production code path is checked against a second route: quotients
 from cell contents, cores from exhaustive rim-hook stripping, core membership
 from raw hook scans, counting series from dense products of Euler factors,
-and sampler rows from the cell-by-cell recurrence with one bisection per part.
+sampler rows from the cell-by-cell recurrence with one bisection per part,
+and the sampled hook-residue law from one fresh generator per draw.
 """
 from __future__ import annotations
 
+import math
+import random
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 from tcores.partitions import (
@@ -20,6 +24,7 @@ from tcores.partitions import (
     make_partition,
     remove_rim_hook,
 )
+from tcores.sampling import _mix64, build_sampler, unrank_partition
 
 
 def is_core_by_hooks(shape: PartitionShape, t: int) -> bool:
@@ -142,3 +147,20 @@ def unrank_by_bisection(rows: Sequence[Sequence[int]], n: int, rank: int) -> tup
         m -= j
         cap = j
     return tuple(parts)
+
+
+def sampled_residues_per_index(
+    t: int, n: int, samples: int, seed: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The Monte Carlo hook-residue law with a fresh Random(_mix64(seed, i))
+    for draw i, and the drawn cell's hook length from a raw scan."""
+    table = build_sampler(n)
+    counts = [0] * t
+    for index in range(samples):
+        rng = random.Random(_mix64(seed, index))
+        shape = unrank_partition(table, rng.randrange(table.total))
+        cell = next(islice(shape.cells(), rng.randrange(n), None))
+        counts[hook_length(shape, cell) % t] += 1
+    estimates = tuple(c / samples for c in counts)
+    errors = tuple(math.sqrt(p * (1.0 - p) / samples) for p in estimates)
+    return estimates, errors

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from oracles import sampled_residues_per_index
 from tcores import hookstats as hs
 from tcores.corequotient import core, decompose
 from tcores.partitions import (
@@ -92,6 +93,13 @@ def test_sampled_distribution_deterministic():
     a = hs.sampled_residue_distribution(4, 30, 500, seed=7)
     b = hs.sampled_residue_distribution(4, 30, 500, seed=7)
     assert a == b
+
+
+@pytest.mark.parametrize("t, n, samples, seed",
+                         [(3, 40, 2000, 2024), (7, 583, 500, 9), (2, 1, 50, 0)])
+def test_sampled_distribution_matches_per_draw_generators(t, n, samples, seed):
+    assert hs.sampled_residue_distribution(t, n, samples, seed) == \
+        sampled_residues_per_index(t, n, samples, seed)
 
 
 def test_sampled_distribution_large_n_self_consistency():

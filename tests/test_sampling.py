@@ -3,6 +3,7 @@ import sys
 import threading
 from collections import Counter
 from functools import cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,21 @@ ORACLE_N = 600
 @cache
 def dense_rows() -> tuple[tuple[int, ...], ...]:
     return sampler_rows_dense(ORACLE_N)
+
+
+@cache
+def dense_counts() -> tuple[tuple[int, ...], ...]:
+    """Row m of the dense oracle at k = 0..m + 1, the last one clamped."""
+    return tuple(row + row[-1:] for row in dense_rows())
+
+
+def assert_matches_dense(table: sp.SamplerTable) -> None:
+    # every cell through both the stored and the derived half, plus the clamp
+    n = table.n
+    counts = tuple(tuple(table.count(m, k) for k in range(m + 2)) for m in range(n + 1))
+    assert counts == dense_counts()[:n + 1]
+    assert table.sums == tuple(accumulate(partition_count_table(n).values, initial=0))
+    assert table.total == dense_rows()[n][-1]
 
 
 def test_table_values():
@@ -115,7 +131,7 @@ def test_build_sampler_refuses_above_budget_without_building():
     sp.build_sampler(5)
     with pytest.raises(ValueError, match=str(sp.SAMPLER_MAX_N)):
         sp.build_sampler(sp.SAMPLER_MAX_N + 1)
-    assert len(sp._ROWS) == 6
+    assert len(sp._ROWS) == 6 and len(sp._SUMS) == 7
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,7 +142,7 @@ def test_grown_rows_match_dense_oracle(sizes):
     for n in sizes:
         table = sp.build_sampler(n)
         assert table.n == n
-        assert table.rows == dense_rows()[:n + 1]
+        assert_matches_dense(table)
 
 
 @pytest.mark.parametrize("n", range(31))
@@ -144,6 +160,33 @@ def test_unrank_matches_bisection_oracle_at_large_n():
     for _ in range(2000):
         rank = rng.randrange(table.total)
         assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, ORACLE_N, rank)
+
+
+# every rank whose first part exceeds n/2, where unranking leaves the stored
+# half row and bisects the prefix sums of p
+@pytest.mark.parametrize("n", range(61))
+def test_unrank_matches_bisection_oracle_above_half_row(n):
+    table = sp.build_sampler(n)
+    rows = dense_rows()
+    for rank in range(table.count(n, n // 2), table.total):
+        assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, n, rank)
+
+
+def test_unrank_matches_bisection_oracle_around_half_row_at_large_n():
+    rows = dense_rows()
+    for n in (*range(61, 81), ORACLE_N):
+        table = sp.build_sampler(n)
+        edge = table.count(n, n // 2)
+        ranks = [*range(edge - 200, edge + 200), *range(table.total - 200, table.total)]
+        for rank in ranks:
+            assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, n, rank)
+
+
+def test_stream_rngs_match_fresh_generators():
+    for seed in (0, 7, 2024, 2**64 - 1):
+        states = [rng.getstate() for rng in sp.stream_rngs(seed, 50)]
+        assert states == [random.Random(sp._mix64(seed, i)).getstate() for i in range(50)]
+    assert list(sp.stream_rngs(3, 0)) == []
 
 
 def test_threads_extend_one_store():
@@ -172,9 +215,8 @@ def test_threads_extend_one_store():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    expected = dense_rows()
     for sizes, tables in zip(plans, served):
         assert [table.n for table in tables] == list(sizes)
         for table in tables:
-            assert table.rows == expected[:table.n + 1]
-    assert len(sp._ROWS) == 401
+            assert_matches_dense(table)
+    assert len(sp._ROWS) == 401 and len(sp._SUMS) == 402
