@@ -254,14 +254,12 @@ def _cmd_orbit(args, out) -> int:
 
     all_words([], set(range(1, args.t + 1)))
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
-    rows = []
-    for word in words:
-        sigma = hookstats.permutation_from_word(word)
-        image = hookstats.act_on_divisible(sigma, nu, args.t)
-        row = [word, _render_parts(image.parts)]
-        for b in range(max_b + 1):
-            row.append(_render_parts(hookstats.b_smoothing(image, args.t, b).cells.parts))
-        rows.append(row)
+    sigmas = [hookstats.permutation_from_word(word) for word in words]
+    images = hookstats.orbit_smoothings(sigmas, nu, args.t, max_b)
+    rows = [
+        [word, _render_parts(image.parts), *(_render_parts(c.parts) for c in cells)]
+        for word, (image, cells) in zip(words, images)
+    ]
     _emit(out, args.format, "orbit", columns, rows)
     return 0
 

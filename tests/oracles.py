@@ -5,13 +5,15 @@ that each production code path is checked against a second route: quotients
 from cell contents, cores from exhaustive rim-hook stripping, core membership
 from raw hook scans, counting series from dense products of Euler factors,
 sampler rows from the cell-by-cell recurrence with one bisection per part,
-and the sampled hook-residue law from one fresh generator per draw.
+the exact hook-residue law from a census of every partition of n, and the
+sampled hook-residue law from one fresh generator per draw.
 """
 from __future__ import annotations
 
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from typing import Sequence
@@ -19,6 +21,7 @@ from typing import Sequence
 from tcores.partitions import (
     Cell,
     PartitionShape,
+    enumerate_partitions,
     hook_length,
     hook_lengths,
     make_partition,
@@ -164,3 +167,15 @@ def sampled_residues_per_index(
     estimates = tuple(c / samples for c in counts)
     errors = tuple(math.sqrt(p * (1.0 - p) / samples) for p in estimates)
     return estimates, errors
+
+
+def residue_law_by_enumeration(t: int, n: int) -> tuple[Fraction, ...]:
+    """P(hook length = i mod t) for a uniform cell of a uniform partition of
+    n, from the hook lengths of every partition of n."""
+    totals = [0] * t
+    count = 0
+    for shape in enumerate_partitions(n):
+        count += 1
+        for h in hook_lengths(shape):
+            totals[h % t] += 1
+    return tuple(Fraction(c, n * count) for c in totals)

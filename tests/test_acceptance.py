@@ -6,10 +6,9 @@ lines; every tolerance is fixed here, not configurable.
 import math
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations
 
-from tcores import counting, distribution, hookstats, sampling
+from tcores import counting, distribution, hookstats, sampling, verify
 from tcores.cli import run as cli_run
 from tcores.corequotient import core, decompose, is_core
 from tcores.partitions import (
@@ -182,16 +181,9 @@ def test_criterion_09_residue_identities():
 
 
 def test_criterion_10_residue_trend():
-    deviations = []
-    for n in (10, 20, 40):
-        xs = hookstats.exact_residue_distribution(3, n)
-        deviations.append(max(abs(x - Fraction(1, 3)) for x in xs))
-    passed = (
-        deviations[0] > deviations[1] > deviations[2]
-        and deviations[2] < Fraction(8, 100)
-    )
+    case = verify.check_residue_trend(40)
     _report(10, "max residue deviation decreases over n=10,20,40 and ends below 0.08",
-            passed, "deviations " + ", ".join(f"{float(d):.5f}" for d in deviations))
+            case.passed and case.params["n"] == [10, 20, 40], case.detail)
 
 
 def test_criterion_11_structure_suite():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tcores.cli import ORBIT_MAX_T, run
+from tcores.hookstats import EXACT_MAX_N
 from tcores.sampling import SAMPLER_MAX_N
 
 
@@ -149,6 +150,14 @@ def test_hooks_exact_golden(capsys):
     ]
 
 
+def test_hooks_exact_beyond_enumeration_scale(capsys):
+    code, out = run_capture(capsys, "hooks", "--t", "5", "--n", "51")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(5))
+    assert sum(Fraction(row[1]) for row in rows) == 1
+
+
 def test_hooks_sampled_columns(capsys):
     code, out = run_capture(
         capsys, "hooks", "--t", "3", "--n", "15", "--mode", "sample",
@@ -248,6 +257,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "orbit --t 8 --nu 1",
     f"sample --n {SAMPLER_MAX_N + 1}",
     f"hooks --t 3 --n {SAMPLER_MAX_N + 1} --mode sample --samples 5",
+    f"hooks --t 3 --n {EXACT_MAX_N + 1}",
     "figure1 --grid-max 1e9 --grid-step 1e-9",
     "figure1 --grid-max 1e300 --grid-step 1e-300",
 ])

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import sampled_residues_per_index
+from oracles import residue_law_by_enumeration, sampled_residues_per_index
 from tcores import hookstats as hs
 from tcores.corequotient import core, decompose
 from tcores.partitions import (
@@ -72,9 +72,20 @@ def test_exact_distribution_t3_n40():
 
 def test_exact_distribution_guards():
     with pytest.raises(ValueError, match="capped"):
-        hs.exact_residue_distribution(3, hs.ENUMERATION_LIMIT + 1)
+        hs.exact_residue_distribution(3, hs.EXACT_MAX_N + 1)
     with pytest.raises(ValueError):
         hs.exact_residue_distribution(3, 0)
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_exact_distribution_matches_enumeration_small_n(t):
+    for n in range(1, 31):
+        assert hs.exact_residue_distribution(t, n) == residue_law_by_enumeration(t, n)
+
+
+@pytest.mark.parametrize("t, n", [(3, 20), (5, 30), (2, 25), (7, 40), (3, 40)])
+def test_exact_distribution_matches_enumeration(t, n):
+    assert hs.exact_residue_distribution(t, n) == residue_law_by_enumeration(t, n)
 
 
 def test_sampled_distribution_matches_exact_oracle():
@@ -103,9 +114,12 @@ def test_sampled_distribution_matches_per_draw_generators(t, n, samples, seed):
 
 
 def test_sampled_distribution_large_n_self_consistency():
-    estimates, _ = hs.sampled_residue_distribution(5, 2000, 100000, seed=31415)
-    for est in estimates:
+    samples = 100000
+    estimates, _ = hs.sampled_residue_distribution(5, 2000, samples, seed=31415)
+    exact = hs.exact_residue_distribution(5, 2000)
+    for est, truth in zip(estimates, map(float, exact)):
         assert abs(est - 0.2) < 0.05
+        assert abs(est - truth) <= 6.0 * math.sqrt(truth * (1.0 - truth) / samples)
 
 
 def test_action_on_divisible_orbit_table():
@@ -168,6 +182,31 @@ def test_action_routes_agree_exhaustively(n, t):
 def test_orbit_listing():
     orbit = hs.s_t_orbit(NU, 3)
     assert {o.parts for o in orbit} == set(ORBIT_TABLE.values())
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_orbit_smoothings_match_action_and_smoothing(t):
+    sigmas = list(permutations(range(t)))
+    for m in range(0, 13, t):
+        for nu in enumerate_partitions(m):
+            if core(nu, t) != EMPTY:
+                continue
+            rows = hs.orbit_smoothings(sigmas, nu, t, 2 * t)
+            assert len(rows) == len(sigmas)
+            for sigma, (image, cells) in zip(sigmas, rows):
+                assert image == hs.act_on_divisible(sigma, nu, t)
+                assert cells == tuple(
+                    hs.b_smoothing(image, t, b).cells for b in range(2 * t + 1)
+                )
+
+
+def test_orbit_smoothings_rejects_bad_input():
+    with pytest.raises(ValueError, match="empty 3-core"):
+        hs.orbit_smoothings([(0, 1, 2)], make_partition([1]), 3, 2)
+    with pytest.raises(ValueError, match="permutation"):
+        hs.orbit_smoothings([(0, 1, 2), (0, 0, 2)], NU, 3, 2)
+    with pytest.raises(ValueError):
+        hs.orbit_smoothings([(0, 1)], NU, 1, 2)
 
 
 def test_smoothing_worked_example():
