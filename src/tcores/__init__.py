@@ -34,7 +34,6 @@ from .counting import (
     core_sum,
     divisible_count_table,
     f_t,
-    lattice_core_count,
     partition_count_table,
 )
 from .distribution import (
@@ -60,6 +59,7 @@ from .hookstats import (
     sampled_residue_distribution,
     small_hook_count,
 )
+from .oracles import lattice_core_count
 from .sampling import SamplerTable, build_sampler, sample_partition, unrank_partition
 
 __version__ = "0.1.0"

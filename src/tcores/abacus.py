@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .partitions import EMPTY, PartitionShape
+from .partitions import EMPTY, PartitionShape, _require_t
 
 # type alias for the per-runner justification positions (p_0, ..., p_{t-1})
 JustificationVector = tuple[int, ...]
-
-_COMBINING_UNDERLINE = "̲"
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,7 @@ class TRunner:
     runners: tuple[AbacusWord, ...]
 
     def __post_init__(self):
-        if self.t < 2:
-            raise ValueError(f"t must be at least 2, got {self.t}")
+        _require_t(self.t)
         if len(self.runners) != self.t:
             raise ValueError(f"expected {self.t} runners, got {len(self.runners)}")
 
@@ -143,8 +140,7 @@ def justify(word: AbacusWord) -> tuple[AbacusWord, int]:
 
 def split_runners(word: AbacusWord, t: int) -> TRunner:
     """Extract the t position classes mod t as 1-runner words."""
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
+    _require_t(t)
     length = len(word.window)
     runners = []
     for i in range(t):
@@ -162,33 +158,3 @@ def merge_runners(tr: TRunner) -> AbacusWord:
     hi = max((r.offset + len(r.window)) * t + i for i, r in enumerate(tr.runners))
     bits = [tr.bit(g) for g in range(lo, hi + 1)]
     return make_word(bits, lo)
-
-
-def justification_positions(tr: TRunner) -> JustificationVector:
-    """Per-runner justification positions; requires every runner justified."""
-    out = []
-    for i, r in enumerate(tr.runners):
-        if not r.is_justified:
-            raise ValueError(f"runner {i} is not justified")
-        out.append(r.offset)
-    return tuple(out)
-
-
-def render(word: AbacusWord, lo: int | None = None, hi: int | None = None) -> str:
-    """Debug string of the word over [lo, hi].
-
-    Format: a literal "…1" prefix for the all-ones tail, the bits as 0/1
-    characters with a combining low line after the bit at position 0 (when it
-    falls in the range), then a "0…" suffix.  Defaults show exactly the
-    canonical window.
-    """
-    if lo is None:
-        lo = word.offset
-    if hi is None:
-        hi = word.offset + len(word.window) - 1
-    chars = []
-    for i in range(lo, hi + 1):
-        chars.append(str(word.bit(i)))
-        if i == 0:
-            chars.append(_COMBINING_UNDERLINE)
-    return "…1" + "".join(chars) + "0…"

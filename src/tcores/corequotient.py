@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import abacus
-from .partitions import EMPTY, PartitionShape, hook_lengths, remove_rim_hook
+from .partitions import PartitionShape, _require_t
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class CoreQuotient:
 
 
 def _runners(shape: PartitionShape, t: int) -> abacus.TRunner:
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
+    _require_t(t)
     return abacus.split_runners(abacus.abacus_from_partition(shape), t)
 
 
@@ -85,8 +84,7 @@ def compose(
     core_shape: PartitionShape, quot: tuple[PartitionShape, ...], t: int
 ) -> PartitionShape:
     """Inverse of decompose: rebuild the partition from a core and quotient."""
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
+    _require_t(t)
     if len(quot) != t:
         raise ValueError(f"quotient must have exactly {t} components, got {len(quot)}")
     core_runners = _runners(core_shape, t).runners
@@ -100,29 +98,3 @@ def compose(
     return abacus.partition_from_abacus(
         abacus.merge_runners(abacus.TRunner(t, shifted))
     )
-
-
-def core_by_rim_stripping(shape: PartitionShape, t: int) -> PartitionShape:
-    """Slow reference: greedily remove t-rim-hooks until none remain.
-
-    Exists only to confirm that stripping order does not matter; the abacus
-    route in core() is the production path.
-    """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    current = shape
-    while True:
-        hooks = hook_lengths(current)
-        target = None
-        idx = 0
-        for r, width in enumerate(current.parts, start=1):
-            for c in range(1, width + 1):
-                if hooks[idx] == t:
-                    target = (r, c)
-                    break
-                idx += 1
-            if target:
-                break
-        if target is None:
-            return current
-        current = remove_rim_hook(current, target)

@@ -17,6 +17,7 @@ from .counting import (
     divisible_count_table,
     partition_count_table,
 )
+from .partitions import _require_t
 
 _GAMMA_ABS_TOL = 1e-10
 _MAX_ITER = 500
@@ -34,8 +35,7 @@ class GammaParams:
 
 def gamma_params(t: int) -> GammaParams:
     """Limit law of (core size)/sqrt(n): shape (t-1)/2, rate pi/sqrt(6)."""
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
+    _require_t(t)
     return GammaParams((t - 1) / 2.0, math.pi / math.sqrt(6.0))
 
 
@@ -130,8 +130,7 @@ class CoreSizePMF:
 
 
 def core_size_pmf(t: int, n: int) -> CoreSizePMF:
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
+    _require_t(t)
     if n < 0:
         raise ValueError("n must be nonnegative")
     cores = core_count_table(t, n)

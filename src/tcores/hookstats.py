@@ -22,17 +22,14 @@ from .partitions import (
     EMPTY,
     Cell,
     PartitionShape,
+    _require_t,
     conjugate_parts,
+    hook_lengths,
 )
 
 # building p up to n costs about n^1.5 big-integer additions: from a cold
 # start, n = 20 000 takes about 0.15 s and 1.3 MB of RSS, n = 40 000 about 0.5 s
 EXACT_MAX_N = 20_000
-
-
-def _require_t(t: int) -> None:
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
 
 
 def _require_permutation(sigma: Sequence[int], t: int) -> tuple[int, ...]:
@@ -62,12 +59,8 @@ class ResidueCensus:
 def residue_census(shape: PartitionShape, t: int) -> ResidueCensus:
     _require_t(t)
     counts = [0] * t
-    parts = shape.parts
-    conj = conjugate_parts(parts)
-    for r, width in enumerate(parts, start=1):
-        base = width - r + 1
-        for c in range(1, width + 1):
-            counts[(base - c + conj[c - 1]) % t] += 1
+    for h in hook_lengths(shape):
+        counts[h % t] += 1
     return ResidueCensus(t, tuple(counts))
 
 
@@ -75,17 +68,7 @@ def small_hook_count(shape: PartitionShape, m: int) -> int:
     """Number of cells with hook length strictly below m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return 0
-    parts = shape.parts
-    conj = conjugate_parts(parts)
-    count = 0
-    for r, width in enumerate(parts, start=1):
-        base = width - r + 1
-        for c in range(1, width + 1):
-            if base - c + conj[c - 1] < m:
-                count += 1
-    return count
+    return sum(1 for h in hook_lengths(shape) if h < m)
 
 
 def exact_residue_distribution(t: int, n: int) -> tuple[Fraction, ...]:
@@ -188,36 +171,6 @@ def act_on_partition(
     sigma = _require_permutation(sigma, t)
     dc = decompose(shape, t)
     return compose(dc.core, tuple(dc.quotient[sigma[i]] for i in range(t)), t)
-
-
-def act_on_partition_via_shifts(
-    sigma: Sequence[int], shape: PartitionShape, t: int
-) -> PartitionShape:
-    """Same action computed directly on the runners.
-
-    Runner i of the image is runner sigma[i] of the input shifted by the
-    difference of the core justification positions; must agree with
-    act_on_partition everywhere.
-    """
-    _require_t(t)
-    sigma = _require_permutation(sigma, t)
-    tr = abacus.split_runners(abacus.abacus_from_partition(shape), t)
-    positions = [abacus.justify(r)[1] for r in tr.runners]
-    moved = tuple(
-        abacus.shift(tr.runners[sigma[i]], positions[sigma[i]] - positions[i])
-        for i in range(t)
-    )
-    return abacus.partition_from_abacus(
-        abacus.merge_runners(abacus.TRunner(t, moved))
-    )
-
-
-def compose_permutations(
-    sigma: Sequence[int], tau: Sequence[int]
-) -> tuple[int, ...]:
-    """The permutation whose action is act(sigma) after act(tau):
-    act(compose_permutations(sigma, tau), x) = act(sigma, act(tau, x))."""
-    return tuple(tau[s] for s in sigma)
 
 
 def permutation_from_word(word: str) -> tuple[int, ...]:
@@ -349,23 +302,20 @@ def phi_map(shape: PartitionShape, t: int) -> dict[Cell, Cell]:
 
     # pair -> cell lookup in the target partition
     target_beads = _pair_positions(shape.parts)
-    target_conj = conjugate_parts(shape.parts)
     pair_to_cell: dict[tuple[int, int], Cell] = {}
-    for r, width in enumerate(shape.parts, start=1):
-        j_pos = target_beads[r - 1]
-        for c in range(1, width + 1):
-            hook = width - c + target_conj[c - 1] - r + 1
-            pair_to_cell[(j_pos - hook, j_pos)] = Cell(r, c)
+    for cell, hook in zip(shape.cells(), hook_lengths(shape)):
+        j_pos = target_beads[cell.row - 1]
+        pair_to_cell[(j_pos - hook, j_pos)] = cell
 
     nu = dc.divisible
     nu_beads = _pair_positions(nu.parts)
-    nu_conj = conjugate_parts(nu.parts)
+    nu_hooks = hook_lengths(nu)
+    row_start = 0
     out: dict[Cell, Cell] = {}
     for r, width in enumerate(region.parts, start=1):
         g1 = nu_beads[r - 1]
         runner_one, col_one = g1 % t, g1 // t
-        for c in range(1, width + 1):
-            hook = nu.parts[r - 1] - c + nu_conj[c - 1] - r + 1
+        for c, hook in enumerate(nu_hooks[row_start:row_start + width], start=1):
             g0 = g1 - hook
             runner_zero, col_zero = g0 % t, g0 // t
             src = (
@@ -373,4 +323,5 @@ def phi_map(shape: PartitionShape, t: int) -> dict[Cell, Cell]:
                 (col_one + positions[runner_one]) * t + runner_one,
             )
             out[Cell(r, c)] = pair_to_cell[src]
+        row_start += nu.parts[r - 1]
     return out

@@ -69,14 +69,7 @@ def make_partition(parts: Sequence[int]) -> PartitionShape:
 
 def conjugate(shape: PartitionShape) -> PartitionShape:
     """Transpose of the Young diagram."""
-    parts = shape.parts
-    if not parts:
-        return EMPTY
-    out = [0] * parts[0]
-    for width in parts:
-        for j in range(width):
-            out[j] += 1
-    return PartitionShape(tuple(out))
+    return PartitionShape(conjugate_parts(shape.parts))
 
 
 def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
@@ -88,6 +81,12 @@ def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
         for j in range(width):
             out[j] += 1
     return tuple(out)
+
+
+def _require_t(t: int) -> None:
+    # the one check of the modulus t shared by every module
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
 
 
 def _require_cell(shape: PartitionShape, cell: Cell) -> tuple[int, int]:
@@ -114,11 +113,6 @@ def hook_length(shape: PartitionShape, cell: Cell) -> int:
     r, c = _require_cell(shape, cell)
     col_len = sum(1 for width in shape.parts if width >= c)
     return shape.parts[r - 1] - c + col_len - r + 1
-
-
-def content(shape: PartitionShape, cell: Cell) -> int:
-    r, c = _require_cell(shape, cell)
-    return c - r
 
 
 def hook_lengths(shape: PartitionShape) -> tuple[int, ...]:

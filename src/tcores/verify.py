@@ -8,6 +8,7 @@ exhaustive sweeps so the whole run stays interactive.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -16,11 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from . import abacus, counting, distribution, hookstats, sampling
+from . import abacus, counting, distribution, hookstats, oracles, sampling
 from .corequotient import (
     compose,
     core,
-    core_by_rim_stripping,
     decompose,
     is_core,
     justification_vector,
@@ -86,14 +86,39 @@ def _case(name, params, passed, detail="ok") -> CaseResult:
 
 
 # ---------------------------------------------------------------------------
+# the shared corpus
+#
+# Many cases sweep the same partitions and their t-cores.  Each is built once
+# per process; the case caps bound it to n <= 30 and t <= 6 (about 16 MB).
+
+
+@functools.cache
+def _shapes(n: int) -> tuple[PartitionShape, ...]:
+    return tuple(enumerate_partitions(n))
+
+
+@functools.cache
+def _hooks(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(hook_lengths(shape) for shape in _shapes(n))
+
+
+@functools.cache
+def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
+    # equal cores are interned, so each distinct core is held once per (n, t)
+    interned: dict[PartitionShape, PartitionShape] = {}
+    return tuple(interned.setdefault(rho, rho)
+                 for rho in (core(shape, t) for shape in _shapes(n)))
+
+
+# ---------------------------------------------------------------------------
 # partitions
 
 
 def check_hook_multisets(max_n: int) -> CaseResult:
     limit = min(max_n, 30)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
-            hooks = sorted(hook_lengths(shape))
+        for shape, hooks in zip(_shapes(n), _hooks(n)):
+            hooks = sorted(hooks)
             if len(hooks) != n or hooks != sorted(hook_lengths(conjugate(shape))):
                 return _case("hook_multiset_conjugation", {"n": n}, False,
                              f"failed at {shape.parts}")
@@ -103,7 +128,7 @@ def check_hook_multisets(max_n: int) -> CaseResult:
 def check_arm_leg_hook(max_n: int) -> CaseResult:
     limit = min(max_n, 14)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for shape in _shapes(n):
             for cell in shape.cells():
                 if (arm_length(shape, cell) + leg_length(shape, cell) + 1
                         != hook_length(shape, cell)):
@@ -115,7 +140,7 @@ def check_arm_leg_hook(max_n: int) -> CaseResult:
 def check_rim_hook_removal(max_n: int) -> CaseResult:
     limit = min(max_n, 14)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for shape in _shapes(n):
             for cell in shape.cells():
                 h = hook_length(shape, cell)
                 smaller = remove_rim_hook(shape, cell)
@@ -141,7 +166,7 @@ def check_enumeration_count(max_n: int) -> CaseResult:
 def check_pair_statistics(max_n: int) -> CaseResult:
     limit = min(max_n, 25)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for shape in _shapes(n):
             word = abacus.abacus_from_partition(shape)
             pairs = abacus.inversion_pairs(word)
             if len(pairs) != n:
@@ -166,7 +191,7 @@ def check_pair_statistics(max_n: int) -> CaseResult:
 def check_swap_is_rim_hook(max_n: int) -> CaseResult:
     limit = min(max_n, 20)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for shape in _shapes(n):
             word = abacus.abacus_from_partition(shape)
             # cell lookup keyed by bead pair
             beads = {}
@@ -198,7 +223,7 @@ def check_swap_is_rim_hook(max_n: int) -> CaseResult:
 def check_word_roundtrip(max_n: int) -> CaseResult:
     limit = min(max_n, 25)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for shape in _shapes(n):
             word = abacus.abacus_from_partition(shape)
             if abacus.partition_from_abacus(word) != shape:
                 return _case("abacus_roundtrip", {"n": n}, False,
@@ -223,14 +248,18 @@ def check_word_roundtrip(max_n: int) -> CaseResult:
 
 def check_core_properties(max_n: int) -> CaseResult:
     limit = min(max_n, 25)
+    ts = (2, 3, 4, 5, 6)
+    idempotent = set()  # (t, core) pairs already checked
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
-            hooks = hook_lengths(shape)
-            for t in (2, 3, 4, 5, 6):
-                rho = core(shape, t)
-                if core(rho, t) != rho:
-                    return _case("core_properties", {"n": n, "t": t}, False,
-                                 f"not idempotent at {shape.parts}")
+        cores = [_cores(n, t) for t in ts]
+        for i, (shape, hooks) in enumerate(zip(_shapes(n), _hooks(n))):
+            for t, rhos in zip(ts, cores):
+                rho = rhos[i]
+                if (t, rho) not in idempotent:
+                    if core(rho, t) != rho:
+                        return _case("core_properties", {"n": n, "t": t}, False,
+                                     f"not idempotent at {shape.parts}")
+                    idempotent.add((t, rho))
                 if rho.size % t != n % t:
                     return _case("core_properties", {"n": n, "t": t}, False,
                                  f"congruence fails at {shape.parts}")
@@ -247,7 +276,7 @@ def check_fixed_core_counts(max_n: int) -> CaseResult:
         cores_tab = counting.core_count_table(t, limit)
         divis_tab = counting.divisible_count_table(t, limit)
         for n in range(limit + 1):
-            hist = Counter(core(shape, t).size for shape in enumerate_partitions(n))
+            hist = Counter(rho.size for rho in _cores(n, t))
             for i in range(n + 1):
                 if hist.get(i, 0) != divis_tab[n - i] * cores_tab[i]:
                     return _case("fixed_core_counts", {"n": n, "t": t, "i": i},
@@ -260,7 +289,7 @@ def check_division_bijection(max_n: int) -> CaseResult:
     for t in (2, 3, 4, 5):
         for n in range(limit + 1):
             seen = set()
-            for shape in enumerate_partitions(n):
+            for shape in _shapes(n):
                 dc = decompose(shape, t)
                 if dc.core.size + dc.divisible.size != n:
                     return _case("division_bijection", {"n": n, "t": t}, False,
@@ -282,9 +311,9 @@ def check_division_bijection(max_n: int) -> CaseResult:
 def check_strip_oracle(max_n: int) -> CaseResult:
     limit = min(max_n, 16)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for i, shape in enumerate(_shapes(n)):
             for t in (2, 3, 4, 5):
-                if core(shape, t) != core_by_rim_stripping(shape, t):
+                if _cores(n, t)[i] != oracles.core_by_rim_stripping(shape, t):
                     return _case("greedy_strip_oracle", {"n": n, "t": t}, False,
                                  f"mismatch at {shape.parts}")
     return _case("greedy_strip_oracle", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
@@ -299,12 +328,12 @@ def check_triple_oracle(max_n: int) -> CaseResult:
     enum_limit = min(max_n, 30)
     for t in (2, 3, 4, 5, 6):
         table = counting.core_count_table(t, gf_limit)
-        lattice = counting.lattice_core_histogram(t, gf_limit)
+        lattice = oracles.lattice_core_histogram(t, gf_limit)
         if tuple(table.values) != lattice:
             return _case("triple_oracle", {"t": t}, False,
                          "series vs lattice mismatch")
         for n in range(enum_limit + 1):
-            brute = sum(1 for s in enumerate_partitions(n) if is_core(s, t))
+            brute = sum(1 for s in _shapes(n) if oracles.is_core_by_hooks(s, t))
             if brute != table[n]:
                 return _case("triple_oracle", {"t": t, "n": n}, False,
                              "series vs enumeration mismatch")
@@ -317,7 +346,7 @@ def check_core_sum_census(max_n: int) -> CaseResult:
     for t in (2, 3, 4, 5):
         table = counting.core_sum_table(t, limit)
         for n in range(limit + 1):
-            distinct = {core(s, t) for s in enumerate_partitions(n)}
+            distinct = set(_cores(n, t))
             if len(distinct) != table[n]:
                 return _case("core_sum_census", {"t": t, "n": n}, False,
                              "distinct-core census mismatch")
@@ -353,8 +382,8 @@ def check_justification_form(max_n: int) -> CaseResult:
     limit = min(max_n, 30)
     for n in range(limit + 1):
         for t in (2, 3, 4, 5):
-            for shape in enumerate_partitions(n):
-                if not is_core(shape, t):
+            for shape in _shapes(n):
+                if not oracles.is_core_by_hooks(shape, t):
                     continue
                 vec = justification_vector(shape, t)
                 if sum(vec) != 0 or counting.f_t(vec, t) != n:
@@ -366,7 +395,7 @@ def check_justification_form(max_n: int) -> CaseResult:
 def check_mod_counts(max_n: int) -> CaseResult:
     for t in (2, 3, 4, 5):
         for residue in range(t):
-            got = counting.mod_solution_count(t, residue)
+            got = oracles.mod_solution_count(t, residue)
             if got != t ** (t - 2):
                 return _case("mod_solution_counts", {"t": t, "residue": residue},
                              False, f"got {got}, want {t ** (t - 2)}")
@@ -377,22 +406,22 @@ def check_divisor_oracle(max_n: int) -> CaseResult:
     limit = max(max_n, 200)
     table = counting.core_count_table(3, limit)
     for n in range(limit + 1):
-        if counting.c3_divisor_oracle(n) != table[n]:
+        if oracles.c3_divisor_oracle(n) != table[n]:
             return _case("c3_divisor_oracle", {"n": n}, False, "mismatch")
     return _case("c3_divisor_oracle", {"max_n": limit}, True)
 
 
 def check_volume_identities(max_n: int) -> CaseResult:
     for t in range(2, 9):
-        cov = counting.lattice_covolume(t)
+        cov = oracles.lattice_covolume(t)
         if abs(cov - math.sqrt(t)) > 1e-12:
             return _case("volume_identities", {"t": t}, False, "covolume wrong")
         lead = counting.core_sum_leading_term(t, 50)
-        alt = counting.ball_volume(t, 50) / t ** 1.5
+        alt = oracles.ball_volume(t, 50) / t ** 1.5
         if abs(lead - alt) > 1e-12 * max(1.0, abs(lead)):
             return _case("volume_identities", {"t": t}, False,
                          "leading term vs ball volume mismatch")
-    v2 = counting.ball_volume(2, 10)
+    v2 = oracles.ball_volume(2, 10)
     if abs(v2 - 2.0 * math.sqrt(10 + 0.125)) > 1e-12:
         return _case("volume_identities", {"t": 2}, False, "V_2 closed form")
     p100 = counting.partition_count_table(100)[100]
@@ -415,7 +444,7 @@ def check_pmf_exhaustive(max_n: int) -> CaseResult:
             if pmf.total() != 1:
                 return _case("pmf_exhaustive", {"t": t, "n": n}, False,
                              "masses do not sum to 1")
-            hist = Counter(core(s, t).size for s in enumerate_partitions(n))
+            hist = Counter(rho.size for rho in _cores(n, t))
             total = sum(hist.values())
             for k in set(hist) | set(pmf.masses):
                 if pmf.masses.get(k, Fraction(0)) != Fraction(hist.get(k, 0), total):
@@ -494,10 +523,12 @@ def check_moment_trend(max_n: int) -> CaseResult:
 
 def check_residue_identities(max_n: int) -> CaseResult:
     limit = min(max_n, 22)
+    ts = (2, 3, 4, 5, 6)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
-            for t in (2, 3, 4, 5, 6):
-                rho = core(shape, t)
+        cores = [_cores(n, t) for t in ts]
+        for i, shape in enumerate(_shapes(n)):
+            for t, rhos in zip(ts, cores):
+                rho = rhos[i]
                 counts = hookstats.residue_census(shape, t).counts
                 core_counts = hookstats.residue_census(rho, t).counts
                 moved = (n - rho.size) // t
@@ -548,7 +579,7 @@ def check_orbit_equidistribution(max_n: int) -> CaseResult:
     limit = min(max_n, 24)
     t = 3
     for m in range(0, limit + 1, t):
-        divisibles = [s for s in enumerate_partitions(m) if core(s, t) == EMPTY]
+        divisibles = [s for s, rho in zip(_shapes(m), _cores(m, t)) if rho == EMPTY]
         seen: set[PartitionShape] = set()
         for nu in divisibles:
             if nu in seen:
@@ -578,19 +609,19 @@ def check_orbit_equidistribution(max_n: int) -> CaseResult:
 def check_action_properties(max_n: int) -> CaseResult:
     limit = min(max_n, 14)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for i, shape in enumerate(_shapes(n)):
             for t in (2, 3):
                 ident = tuple(range(t))
                 if hookstats.act_on_partition(ident, shape, t) != shape:
                     return _case("action_properties", {"n": n, "t": t}, False,
                                  f"identity fails at {shape.parts}")
-                rho = core(shape, t)
+                rho = _cores(n, t)[i]
                 for sigma in permutations(range(t)):
                     image = hookstats.act_on_partition(sigma, shape, t)
                     if image.size != n or core(image, t) != rho:
                         return _case("action_properties", {"n": n, "t": t}, False,
                                      f"size/core not preserved at {shape.parts}")
-                    if image != hookstats.act_on_partition_via_shifts(
+                    if image != oracles.act_on_partition_via_shifts(
                         sigma, shape, t
                     ):
                         return _case("action_properties", {"n": n, "t": t}, False,
@@ -601,7 +632,7 @@ def check_action_properties(max_n: int) -> CaseResult:
 def check_smoothing_bounds(max_n: int) -> CaseResult:
     limit = min(max_n, 20)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for shape in _shapes(n):
             for t in (2, 3, 4, 5):
                 dc = decompose(shape, t)
                 b, cells = hookstats.canonical_smoothing(shape, t)
@@ -620,8 +651,8 @@ def check_small_hook_bound(max_n: int) -> CaseResult:
     limit = min(max_n, 30)
     for n in range(1, limit + 1):
         root = math.sqrt(2.0 * n)
-        for shape in enumerate_partitions(n):
-            hooks = sorted(hook_lengths(shape))
+        for hooks in _hooks(n):
+            hooks = sorted(hooks)
             below = 0
             idx = 0
             for m in range(1, n + 1):
@@ -637,7 +668,7 @@ def check_small_hook_bound(max_n: int) -> CaseResult:
 def check_phi_injection(max_n: int) -> CaseResult:
     limit = min(max_n, 18)
     for n in range(limit + 1):
-        for shape in enumerate_partitions(n):
+        for shape in _shapes(n):
             for t in (2, 3, 4):
                 dc = decompose(shape, t)
                 mapping = hookstats.phi_map(shape, t)
@@ -691,7 +722,7 @@ def check_unrank_bijection(max_n: int) -> CaseResult:
     for n in range(11):
         table = sampling.build_sampler(n)
         seen = {sampling.unrank_partition(table, r) for r in range(table.total)}
-        expected = set(enumerate_partitions(n))
+        expected = set(_shapes(n))
         if seen != expected:
             return _case("unrank_bijection", {"n": n}, False,
                          "rank map is not a bijection")
@@ -705,7 +736,7 @@ def check_sampler_frequencies(max_n: int, seed: int, samples: int) -> CaseResult
     )
     worst = max(
         abs(counts.get(shape, 0) / samples - 1.0 / table.total)
-        for shape in enumerate_partitions(8)
+        for shape in _shapes(8)
     )
     rerun = Counter(
         sampling.sample_partition(table, seed, i) for i in range(samples)

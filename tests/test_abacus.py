@@ -8,13 +8,11 @@ from tcores.abacus import (
     TRunner,
     abacus_from_partition,
     inversion_pairs,
-    justification_positions,
     justified_word,
     justify,
     make_word,
     merge_runners,
     partition_from_abacus,
-    render,
     shift,
     split_runners,
 )
@@ -52,9 +50,11 @@ def words(draw):
 
 def test_running_example_word():
     assert abacus_from_partition(RUNNING) == RUNNING_WORD
-    # bit at position 0 is the underlined 0 of the display
     assert RUNNING_WORD.bit(0) == 0
-    assert render(RUNNING_WORD, -8, 7) == "…1111010100̲11010000…"
+    assert [RUNNING_WORD.bit(i) for i in range(-8, 8)] == [
+        1, 1, 1, 0, 1, 0, 1, 0, 0,  # positions -8..0
+        1, 1, 0, 1, 0, 0, 0,        # positions 1..7
+    ]
 
 
 def test_empty_partition_word():
@@ -111,18 +111,18 @@ def test_split_matches_worked_runner_block():
         make_partition([1, 1, 1]),
         make_partition([1]),
     ]
-    # bit strings of the three runners around the origin
-    assert render(tr.runners[0], -2, 2) == "…110" + "0̲" + "000…"
-    assert render(tr.runners[1], -2, 2) == "…101" + "1̲" + "100…"
-    assert render(tr.runners[2], -2, 2) == "…110" + "1̲" + "000…"
+    # bits of the three runners at positions -2..2
+    assert [tr.runners[0].bit(i) for i in range(-2, 3)] == [1, 0, 0, 0, 0]
+    assert [tr.runners[1].bit(i) for i in range(-2, 3)] == [0, 1, 1, 1, 0]
+    assert [tr.runners[2].bit(i) for i in range(-2, 3)] == [1, 0, 1, 0, 0]
 
 
 def test_split_matches_divisible_runner_block():
     word = abacus_from_partition(make_partition([7, 3, 2]))
     tr = split_runners(word, 3)
-    assert render(tr.runners[0], -2, 2) == "…110" + "0̲" + "010…"
-    assert render(tr.runners[1], -2, 2) == "…110" + "1̲" + "000…"
-    assert render(tr.runners[2], -2, 2) == "…111" + "0̲" + "000…"
+    assert [tr.runners[0].bit(i) for i in range(-2, 3)] == [1, 0, 0, 0, 1]
+    assert [tr.runners[1].bit(i) for i in range(-2, 3)] == [1, 0, 1, 0, 0]
+    assert [tr.runners[2].bit(i) for i in range(-2, 3)] == [1, 1, 0, 0, 0]
 
 
 def test_split_rejects_small_t():
@@ -146,13 +146,13 @@ def test_read_then_encode_is_balanced_form(word):
 
 def test_justification_positions_examples():
     runners = split_runners(abacus_from_partition(make_partition([1])), 3)
-    assert justification_positions(
-        TRunner(3, tuple(justify(r)[0] for r in runners.runners))
-    ) == (1, 0, -1)
+    justified = TRunner(3, tuple(justify(r)[0] for r in runners.runners))
+    assert all(r.is_justified for r in justified.runners)
+    assert tuple(r.offset for r in justified.runners) == (1, 0, -1)
 
-    assert justification_positions(
-        split_runners(abacus_from_partition(EMPTY), 4)
-    ) == (0, 0, 0, 0)
+    empty = split_runners(abacus_from_partition(EMPTY), 4)
+    assert all(r.is_justified for r in empty.runners)
+    assert tuple(r.offset for r in empty.runners) == (0, 0, 0, 0)
 
     vec = tuple(
         justify(r)[1]
@@ -161,12 +161,6 @@ def test_justification_positions_examples():
     assert sum(vec) == 0
     assert f_t(vec, 3) == 4
     assert core(RUNNING, 3) == make_partition([2, 1, 1])
-
-
-def test_justification_positions_error_names_runner():
-    tr = split_runners(RUNNING_WORD, 3)
-    with pytest.raises(ValueError, match="runner 1"):
-        justification_positions(tr)
 
 
 @given(partitions())

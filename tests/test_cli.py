@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tcores.cli import ORBIT_MAX_T, run
+from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import EXACT_MAX_N
 from tcores.sampling import SAMPLER_MAX_N
 
@@ -258,6 +259,8 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     f"sample --n {SAMPLER_MAX_N + 1}",
     f"hooks --t 3 --n {SAMPLER_MAX_N + 1} --mode sample --samples 5",
     f"hooks --t 3 --n {EXACT_MAX_N + 1}",
+    f"counts --series p --max-n {SERIES_MAX_N + 1}",
+    f"pmf --t 3 --n {SERIES_MAX_N + 1}",
     "figure1 --grid-max 1e9 --grid-step 1e-9",
     "figure1 --grid-max 1e300 --grid-step 1e-300",
 ])

@@ -3,17 +3,21 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_stripping_results, is_core_by_hooks, quotient_by_contents
 from tcores.corequotient import (
     CoreQuotient,
     compose,
     core,
-    core_by_rim_stripping,
     decompose,
     is_core,
     quotient,
 )
 from tcores.counting import core_count_table, divisible_count_table
+from tcores.oracles import (
+    all_stripping_results,
+    core_by_rim_stripping,
+    is_core_by_hooks,
+    quotient_by_contents,
+)
 from tcores.partitions import EMPTY, enumerate_partitions, make_partition
 
 RUNNING = make_partition([5, 4, 4, 2, 1])

@@ -6,8 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oracles
-from tcores import counting
+from tcores import counting, oracles
 from tcores.corequotient import core, is_core
 from tcores.partitions import enumerate_partitions
 
@@ -202,28 +201,28 @@ def test_quadratic_form_nonnegative_integer(t, data):
 
 
 def test_lattice_counts():
-    assert counting.lattice_core_count(5, 0) == 1
-    assert counting.lattice_core_count(3, 2) == 2
+    assert oracles.lattice_core_count(5, 0) == 1
+    assert oracles.lattice_core_count(3, 2) == 2
     table = counting.core_count_table(4, 30)
-    assert counting.lattice_core_histogram(4, 30) == table.values
+    assert oracles.lattice_core_histogram(4, 30) == table.values
 
 
 def test_mod_solution_counts():
-    assert counting.mod_solution_count(3, 0) == 3
-    assert counting.mod_solution_count(3, 2) == 3
-    assert counting.mod_solution_count(2, 1) == 1
-    assert counting.mod_solution_count(5, 4) == 125
+    assert oracles.mod_solution_count(3, 0) == 3
+    assert oracles.mod_solution_count(3, 2) == 3
+    assert oracles.mod_solution_count(2, 1) == 1
+    assert oracles.mod_solution_count(5, 4) == 125
 
 
 def test_covolume_and_volume():
-    assert abs(counting.lattice_covolume(4) - 2.0) < 1e-12
+    assert abs(oracles.lattice_covolume(4) - 2.0) < 1e-12
     for t in range(2, 9):
-        assert abs(counting.lattice_covolume(t) ** 2 - t) < 1e-12
+        assert abs(oracles.lattice_covolume(t) ** 2 - t) < 1e-12
     # one-dimensional ball: the closed form collapses to 2*sqrt(n + 1/8)
-    assert abs(counting.ball_volume(2, 10) - 2.0 * math.sqrt(10.125)) < 1e-12
+    assert abs(oracles.ball_volume(2, 10) - 2.0 * math.sqrt(10.125)) < 1e-12
     for t in (2, 3, 4, 5):
         lead = counting.core_sum_leading_term(t, 50)
-        assert abs(lead - counting.ball_volume(t, 50) / t**1.5) < 1e-12 * lead
+        assert abs(lead - oracles.ball_volume(t, 50) / t**1.5) < 1e-12 * lead
 
 
 def test_leading_term_tracks_core_sums():
@@ -237,11 +236,11 @@ def test_leading_term_tracks_core_sums():
 
 
 def test_c3_divisor_oracle():
-    assert counting.c3_divisor_oracle(1) == 1   # divisors of 4: +1 -1 +1
-    assert counting.c3_divisor_oracle(3) == 0   # divisors of 10: +1 -1 -1 +1
+    assert oracles.c3_divisor_oracle(1) == 1   # divisors of 4: +1 -1 +1
+    assert oracles.c3_divisor_oracle(3) == 0   # divisors of 10: +1 -1 -1 +1
     table = counting.core_count_table(3, 200)
     for n in range(201):
-        assert counting.c3_divisor_oracle(n) == table[n]
+        assert oracles.c3_divisor_oracle(n) == table[n]
 
 
 def test_asymptotic_estimates():

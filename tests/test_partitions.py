@@ -8,7 +8,6 @@ from tcores.partitions import (
     Cell,
     arm_length,
     conjugate,
-    content,
     enumerate_partitions,
     hook_length,
     hook_lengths,
@@ -20,9 +19,8 @@ from tcores.partitions import (
 
 RUNNING = make_partition([5, 4, 4, 2, 1])
 
-# hook numbers and contents of (5,4,4,2,1), row-major
+# hook numbers of (5,4,4,2,1), row-major
 RUNNING_HOOKS = (9, 7, 5, 4, 1, 7, 5, 3, 2, 6, 4, 2, 1, 3, 1, 1)
-RUNNING_CONTENTS = (0, 1, 2, 3, 4, -1, 0, 1, 2, -2, -1, 0, 1, -3, -2, -4)
 
 
 @st.composite
@@ -78,7 +76,6 @@ def test_conjugate_involution(shape):
 def test_hook_arm_leg_content_examples():
     assert hook_length(RUNNING, Cell(1, 1)) == 9
     assert hook_length(RUNNING, Cell(2, 1)) == 7
-    assert content(RUNNING, Cell(2, 1)) == -1
     assert hook_length(make_partition([1]), Cell(1, 1)) == 1
     assert arm_length(RUNNING, Cell(1, 1)) == 4
     assert leg_length(RUNNING, Cell(1, 1)) == 4
@@ -86,12 +83,10 @@ def test_hook_arm_leg_content_examples():
 
 def test_hook_and_content_tables():
     assert hook_lengths(RUNNING) == RUNNING_HOOKS
-    got = tuple(content(RUNNING, c) for c in RUNNING.cells())
-    assert got == RUNNING_CONTENTS
 
 
 def test_cell_outside_diagram_raises():
-    for fn in (hook_length, arm_length, leg_length, content):
+    for fn in (hook_length, arm_length, leg_length):
         with pytest.raises(ValueError):
             fn(RUNNING, Cell(6, 1))
         with pytest.raises(ValueError):

@@ -8,9 +8,9 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sampler_rows_dense, unrank_by_bisection
 from tcores import sampling as sp
 from tcores.counting import partition_count_table
+from tcores.oracles import sampler_rows_dense, unrank_by_bisection
 from tcores.partitions import EMPTY, enumerate_partitions, make_partition
 
 ORACLE_N = 600
