@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -207,6 +208,9 @@ def _cmd_figure1(args, out) -> int:
 def _cmd_figure2(args, out) -> int:
     _check_t(args.t)
     _check_at_least("--max-n", args.max_n, 1)
+    if args.max_n > counting.SERIES_MAX_N:
+        raise SystemExit2(f"figure2 takes --max-n at most {counting.SERIES_MAX_N}, "
+                          f"got {args.max_n}")
     rows = []
     for n in range(1, args.max_n + 1):
         exact, asym = distribution.expected_core_size(args.t, n)
@@ -243,16 +247,7 @@ def _cmd_orbit(args, out) -> int:
 
     nu = make_partition(args.nu)
     max_b = args.max_b if args.max_b is not None else args.t - 1
-    words = []
-
-    def all_words(prefix, remaining):
-        if not remaining:
-            words.append("".join(str(d) for d in prefix))
-            return
-        for d in sorted(remaining):
-            all_words(prefix + [d], remaining - {d})
-
-    all_words([], set(range(1, args.t + 1)))
+    words = ["".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1))]
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
     sigmas = [hookstats.permutation_from_word(word) for word in words]
     images = hookstats.orbit_smoothings(sigmas, nu, args.t, max_b)

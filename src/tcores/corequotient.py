@@ -1,11 +1,13 @@
 """t-cores, t-quotients and the division bijection between a partition and
-its (core, t-divisible) pair, computed on the t-runner abacus."""
+its (core, t-divisible) pair, computed on the bead positions of the t-runner
+abacus: _divide reads off each runner's justification position p_i and its
+quotient component q_i (James and Kerber 1981, 2.7); _assemble puts them back.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import abacus
-from .partitions import PartitionShape, _require_t
+from .partitions import EMPTY, PartitionShape, _require_t
 
 
 @dataclass(frozen=True)
@@ -23,35 +25,61 @@ class CoreQuotient:
     divisible: PartitionShape
 
 
-def _runners(shape: PartitionShape, t: int) -> abacus.TRunner:
+def _divide(
+    shape: PartitionShape, t: int
+) -> tuple[tuple[int, ...], tuple[PartitionShape, ...]]:
+    # row j's bead sits at parts[j-1] - j = level * t + runner; padded to m * t
+    # rows, each runner is full below level -m, so p_i is its bead count - m,
+    # and its k-th bead from the top, at level L, gives part L - p_i + k of q_i
     _require_t(t)
-    return abacus.split_runners(abacus.abacus_from_partition(shape), t)
+    parts = shape.parts
+    m = -(-len(parts) // t)
+    levels: list[list[int]] = [[] for _ in range(t)]
+    for j, part in enumerate(parts + (0,) * (m * t - len(parts)), start=1):
+        level, runner = divmod(part - j, t)
+        levels[runner].append(level)
+    positions = tuple(len(beads) - m for beads in levels)
+    return positions, tuple(
+        PartitionShape(tuple(x for k, level in enumerate(beads, start=1)
+                             if (x := level - p + k)))
+        for beads, p in zip(levels, positions)
+    )
+
+
+def _assemble(
+    positions: tuple[int, ...], quot: tuple[PartitionShape, ...], t: int
+) -> PartitionShape:
+    # inverse of _divide for positions summing to zero: runner i holds q_i's
+    # beads at levels q_i[k-1] - k + p_i, full below; taking every bead from
+    # level floor up, the j-th from the top, beta_j, gives part beta_j + j
+    floor = min(p - len(q.parts) for p, q in zip(positions, quot))
+    beads = []
+    for i, (p, q) in enumerate(zip(positions, quot)):
+        beads.extend((part - k + p) * t + i for k, part in enumerate(q.parts, start=1))
+        beads.extend(level * t + i for level in range(floor, p - len(q.parts)))
+    beads.sort(reverse=True)
+    return PartitionShape(tuple(x for j, beta in enumerate(beads, start=1)
+                                if (x := beta + j)))
 
 
 def is_core(shape: PartitionShape, t: int) -> bool:
     """True when every runner of the balanced abacus is justified."""
-    return all(r.is_justified for r in _runners(shape, t).runners)
+    return all(q == EMPTY for q in _divide(shape, t)[1])
 
 
 def core(shape: PartitionShape, t: int) -> PartitionShape:
     """The t-core: justify each runner and read the merged word back."""
-    tr = _runners(shape, t)
-    justified = tuple(abacus.justify(r)[0] for r in tr.runners)
-    return abacus.partition_from_abacus(
-        abacus.merge_runners(abacus.TRunner(t, justified))
-    )
+    return _assemble(_divide(shape, t)[0], (EMPTY,) * t, t)
 
 
 def quotient(shape: PartitionShape, t: int) -> tuple[PartitionShape, ...]:
     """The t-quotient: each runner read as a partition in its own right."""
-    tr = _runners(shape, t)
-    return tuple(abacus.partition_from_abacus(r) for r in tr.runners)
+    return _divide(shape, t)[1]
 
 
-def justification_vector(shape: PartitionShape, t: int) -> abacus.JustificationVector:
+def justification_vector(shape: PartitionShape, t: int) -> tuple[int, ...]:
     """Justification positions of the core's runners; sums to zero."""
-    tr = _runners(shape, t)
-    return tuple(abacus.justify(r)[1] for r in tr.runners)
+    return _divide(shape, t)[0]
 
 
 def decompose(shape: PartitionShape, t: int) -> CoreQuotient:
@@ -60,24 +88,10 @@ def decompose(shape: PartitionShape, t: int) -> CoreQuotient:
     The divisible part is assembled by left-shifting runner i by the core's
     justification position p_i, which balances every runner.
     """
-    tr = _runners(shape, t)
-    justified = []
-    positions = []
-    for r in tr.runners:
-        w, p = abacus.justify(r)
-        justified.append(w)
-        positions.append(p)
-    core_shape = abacus.partition_from_abacus(
-        abacus.merge_runners(abacus.TRunner(t, tuple(justified)))
+    positions, quot = _divide(shape, t)
+    return CoreQuotient(
+        t, _assemble(positions, (EMPTY,) * t, t), quot, _assemble((0,) * t, quot, t)
     )
-    balanced = tuple(
-        abacus.shift(r, p) for r, p in zip(tr.runners, positions)
-    )
-    divisible = abacus.partition_from_abacus(
-        abacus.merge_runners(abacus.TRunner(t, balanced))
-    )
-    quot = tuple(abacus.partition_from_abacus(r) for r in tr.runners)
-    return CoreQuotient(t, core_shape, quot, divisible)
 
 
 def compose(
@@ -87,14 +101,7 @@ def compose(
     _require_t(t)
     if len(quot) != t:
         raise ValueError(f"quotient must have exactly {t} components, got {len(quot)}")
-    core_runners = _runners(core_shape, t).runners
-    if any(not r.is_justified for r in core_runners):
+    positions, core_quot = _divide(core_shape, t)
+    if any(q != EMPTY for q in core_quot):
         raise ValueError(f"{core_shape.parts} is not a {t}-core")
-    positions = [r.offset for r in core_runners]
-    shifted = tuple(
-        abacus.shift(abacus.abacus_from_partition(q), -p)
-        for q, p in zip(quot, positions)
-    )
-    return abacus.partition_from_abacus(
-        abacus.merge_runners(abacus.TRunner(t, shifted))
-    )
+    return _assemble(positions, quot, t)

@@ -19,7 +19,6 @@ from .counting import (
 )
 from .partitions import _require_t
 
-_GAMMA_ABS_TOL = 1e-10
 _MAX_ITER = 500
 
 

@@ -16,8 +16,8 @@ from itertools import permutations
 from operator import neg
 from typing import Iterable, Sequence
 
-from . import abacus, counting, sampling
-from .corequotient import CoreQuotient, compose, core, decompose, quotient
+from . import counting, sampling
+from .corequotient import _assemble, _divide
 from .partitions import (
     EMPTY,
     Cell,
@@ -39,9 +39,11 @@ def _require_permutation(sigma: Sequence[int], t: int) -> tuple[int, ...]:
     return sigma
 
 
-def _require_divisible(nu: PartitionShape, t: int) -> None:
-    if core(nu, t) != EMPTY:
+def _require_divisible(nu: PartitionShape, t: int) -> tuple[PartitionShape, ...]:
+    positions, quot = _divide(nu, t)  # the core is empty when every p_i is 0
+    if any(positions):
         raise ValueError(f"{nu.parts} does not have empty {t}-core")
+    return quot
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,8 @@ def _permuted_images(
     nu: PartitionShape, t: int, sigmas: Iterable[tuple[int, ...]]
 ) -> list[PartitionShape]:
     # nu is checked and divided once for every permutation
-    _require_divisible(nu, t)
-    q = quotient(nu, t)
-    return [compose(EMPTY, tuple(q[s] for s in sigma), t) for sigma in sigmas]
+    q = _require_divisible(nu, t)
+    return [_assemble((0,) * t, tuple(q[s] for s in sigma), t) for sigma in sigmas]
 
 
 def act_on_partition(
@@ -169,8 +170,8 @@ def act_on_partition(
     """
     _require_t(t)
     sigma = _require_permutation(sigma, t)
-    dc = decompose(shape, t)
-    return compose(dc.core, tuple(dc.quotient[sigma[i]] for i in range(t)), t)
+    positions, q = _divide(shape, t)
+    return _assemble(positions, tuple(q[s] for s in sigma), t)
 
 
 def permutation_from_word(word: str) -> tuple[int, ...]:
@@ -194,7 +195,6 @@ def permutation_from_word(word: str) -> tuple[int, ...]:
 def s_t_orbit(nu: PartitionShape, t: int) -> list[PartitionShape]:
     """Orbit of a t-divisible partition under all quotient permutations,
     sorted descending by parts for stable output."""
-    _require_t(t)
     orbit = set(_permuted_images(nu, t, permutations(range(t))))
     return sorted(orbit, key=lambda s: s.parts, reverse=True)
 
@@ -268,12 +268,12 @@ def _smoothing_cells(nu: PartitionShape, t: int, b: int) -> PartitionShape:
     return PartitionShape(tuple(rows)) if rows else EMPTY
 
 
-def _core_spread(shape: PartitionShape, t: int) -> tuple[CoreQuotient, list[int], int]:
-    # the core's justification positions and b, their largest pairwise gap
-    dc = decompose(shape, t)
-    tr = abacus.split_runners(abacus.abacus_from_partition(dc.core), t)
-    positions = [r.offset for r in tr.runners]
-    return dc, positions, max(positions) - min(positions)
+def _core_spread(
+    shape: PartitionShape, t: int
+) -> tuple[PartitionShape, tuple[int, ...], int]:
+    # the divisible part, the positions (the core's too) and b, their spread
+    positions, q = _divide(shape, t)
+    return _assemble((0,) * t, q, t), positions, max(positions) - min(positions)
 
 
 def canonical_smoothing(shape: PartitionShape, t: int) -> tuple[int, PartitionShape]:
@@ -283,9 +283,8 @@ def canonical_smoothing(shape: PartitionShape, t: int) -> tuple[int, PartitionSh
     pairs of the core's justification vector (0 for a t-divisible input) and
     cells is the b-smoothing of the divisible part.
     """
-    _require_t(t)
-    dc, _, b = _core_spread(shape, t)
-    return b, _smoothing_cells(dc.divisible, t, b)
+    nu, _, b = _core_spread(shape, t)
+    return b, _smoothing_cells(nu, t, b)
 
 
 def phi_map(shape: PartitionShape, t: int) -> dict[Cell, Cell]:
@@ -296,9 +295,8 @@ def phi_map(shape: PartitionShape, t: int) -> dict[Cell, Cell]:
     each end by the justification position of its runner lands on a bead
     pair of the partition's own word, whose cell is returned.
     """
-    _require_t(t)
-    dc, positions, b = _core_spread(shape, t)
-    region = _smoothing_cells(dc.divisible, t, b)
+    nu, positions, b = _core_spread(shape, t)
+    region = _smoothing_cells(nu, t, b)
 
     # pair -> cell lookup in the target partition
     target_beads = _pair_positions(shape.parts)
@@ -307,7 +305,6 @@ def phi_map(shape: PartitionShape, t: int) -> dict[Cell, Cell]:
         j_pos = target_beads[cell.row - 1]
         pair_to_cell[(j_pos - hook, j_pos)] = cell
 
-    nu = dc.divisible
     nu_beads = _pair_positions(nu.parts)
     nu_hooks = hook_lengths(nu)
     row_start = 0

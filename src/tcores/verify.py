@@ -651,14 +651,12 @@ def check_small_hook_bound(max_n: int) -> CaseResult:
     limit = min(max_n, 30)
     for n in range(1, limit + 1):
         root = math.sqrt(2.0 * n)
-        for hooks in _hooks(n):
+        for shape, hooks in zip(_shapes(n), _hooks(n)):
             hooks = sorted(hooks)
             below = 0
-            idx = 0
             for m in range(1, n + 1):
-                while idx < len(hooks) and hooks[idx] < m:
-                    idx += 1
-                below = idx
+                while below < len(hooks) and hooks[below] < m:
+                    below += 1
                 if not below < m * root:
                     return _case("small_hook_bound", {"n": n, "m": m}, False,
                                  f"bound fails at {shape.parts}")
@@ -821,6 +819,9 @@ def run_suite(
         checks = _SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
+    if max_n > counting.SERIES_MAX_N:
+        raise ValueError(f"verify is capped at max_n={counting.SERIES_MAX_N} "
+                         f"(the counting series cap); got max_n={max_n}")
     report = VerificationReport(suite=name, master_seed=seed)
     start = time.perf_counter()
     for fn in checks:

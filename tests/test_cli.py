@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tcores import distribution
 from tcores.cli import ORBIT_MAX_T, run
 from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import EXACT_MAX_N
@@ -261,6 +262,8 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     f"hooks --t 3 --n {EXACT_MAX_N + 1}",
     f"counts --series p --max-n {SERIES_MAX_N + 1}",
     f"pmf --t 3 --n {SERIES_MAX_N + 1}",
+    f"figure2 --t 3 --max-n {SERIES_MAX_N + 1}",
+    f"verify --max-n {SERIES_MAX_N + 1}",
     "figure1 --grid-max 1e9 --grid-step 1e-9",
     "figure1 --grid-max 1e300 --grid-step 1e-300",
 ])
@@ -270,6 +273,15 @@ def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tcores: error: ")
+
+
+def test_figure2_cap_is_refused_before_any_pmf(capsys, monkeypatch):
+    def fail(t, n):
+        raise AssertionError(f"expected_core_size({t}, {n}) was built")
+
+    monkeypatch.setattr(distribution, "expected_core_size", fail)
+    assert run(["figure2", "--t", "3", "--max-n", str(SERIES_MAX_N + 1)]) == 2
+    assert str(SERIES_MAX_N) in capsys.readouterr().err
 
 
 def test_parser_is_reused_across_calls(capsys):

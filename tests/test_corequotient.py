@@ -100,6 +100,10 @@ def test_division_round_trip(shape, t):
     assert is_core(dc.core, t)
     assert core(dc.divisible, t) == EMPTY
     assert compose(dc.core, dc.quotient, t) == shape
+    # the divisible part against routes that do not assemble it
+    assert quotient(dc.divisible, t) == dc.quotient
+    assert quotient_by_contents(dc.divisible, t) == quotient_by_contents(shape, t)
+    assert core_by_rim_stripping(dc.divisible, t) == EMPTY
 
 
 @pytest.mark.parametrize("n", range(13))

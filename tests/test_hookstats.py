@@ -138,6 +138,12 @@ def test_action_identity_and_errors():
         hs.act_on_divisible((0, 1, 2), make_partition([1]), 3)
     with pytest.raises(ValueError, match="permutation"):
         hs.act_on_divisible((0, 0, 2), NU, 3)
+    for n in range(10):
+        for shape in enumerate_partitions(n):
+            for t in (2, 3, 4):
+                if core(shape, t) != EMPTY:
+                    with pytest.raises(ValueError, match=f"empty {t}-core"):
+                        hs.act_on_divisible(tuple(range(t)), shape, t)
 
 
 def test_action_group_law_on_orbit():

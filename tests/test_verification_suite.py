@@ -1,6 +1,8 @@
 """Run the library verification suite at the scales its cases are stated
 for (the per-case caps take over beyond max_n = 30)."""
-from tcores import verify
+import pytest
+
+from tcores import counting, verify
 
 
 def test_all_suites_pass_at_full_scale():
@@ -20,7 +22,32 @@ def test_report_serializes():
 
 
 def test_unknown_suite_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         verify.run_suite("nope")
+
+
+def test_max_n_above_series_cap_is_refused_before_any_case(monkeypatch):
+    ran = []
+
+    def recording(max_n):
+        ran.append(max_n)
+        return verify._case("recording", {"max_n": max_n}, True)
+
+    monkeypatch.setattr(verify, "_SUITES", {"recording": [recording]})
+    with pytest.raises(ValueError, match=str(counting.SERIES_MAX_N)):
+        verify.run_suite("all", max_n=counting.SERIES_MAX_N + 1)
+    with pytest.raises(ValueError):
+        verify.run_suite("recording", max_n=counting.SERIES_MAX_N + 1)
+    assert ran == []
+    assert verify.run_suite("recording", max_n=3).passed
+    assert ran == [3]
+
+
+def test_small_hook_bound_reports_a_failing_shape(monkeypatch):
+    # every cell given hook 0: 2n hooks below m = 1 break n < m * sqrt(2n)
+    monkeypatch.setattr(
+        verify, "_hooks", lambda n: tuple((0,) * (2 * n) for _ in verify._shapes(n)))
+    case = verify.check_small_hook_bound(5)
+    assert not case.passed
+    assert case.params == {"n": 1, "m": 1}
+    assert case.detail == "bound fails at (1,)"
