@@ -19,10 +19,6 @@ from typing import Sequence
 
 from .partitions import EMPTY, PartitionShape, _require_t
 
-# type alias for the per-runner justification positions (p_0, ..., p_{t-1})
-JustificationVector = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class AbacusWord:
     """Canonical eventually-constant bit word; build with make_word."""

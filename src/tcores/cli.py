@@ -27,6 +27,11 @@ ORBIT_MAX_T = 7
 # the three default n take about 1.2 s and 60 MB
 FIGURE1_MAX_ROWS = 100_000
 
+# draws per request: hooks --mode sample --samples, verify --samples and
+# sample --count; at n = 4000 a draw costs about 50 us and a sample row about
+# 60 us, so the cap is a few seconds of drawing
+MAX_DRAWS = 100_000
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -89,6 +94,11 @@ def _check_t(t: int) -> int:
 def _check_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise SystemExit2(f"{flag} must be at least {low}, got {value}")
+
+
+def _check_at_most(flag: str, value: int, high: int) -> None:
+    if value > high:
+        raise SystemExit2(f"{flag} must be at most {high}, got {value}")
 
 
 class SystemExit2(Exception):
@@ -227,6 +237,7 @@ def _cmd_hooks(args, out) -> int:
         _emit(out, args.format, "hooks",
               ["residue", "probability", "probability_float"], rows)
     else:
+        _check_at_most("--samples", args.samples, MAX_DRAWS)
         estimates, errors = hookstats.sampled_residue_distribution(
             args.t, args.n, args.samples, args.seed
         )
@@ -261,6 +272,7 @@ def _cmd_orbit(args, out) -> int:
 
 def _cmd_sample(args, out) -> int:
     _check_at_least("--count", args.count, 1)
+    _check_at_most("--count", args.count, MAX_DRAWS)
     table = sampling.build_sampler(args.n)
     rows = [
         [i, _render_parts(sampling.sample_partition(table, args.seed, i).parts)]
@@ -273,6 +285,7 @@ def _cmd_sample(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     _check_at_least("--max-n", args.max_n, 0)
     _check_at_least("--samples", args.samples, 1)
+    _check_at_most("--samples", args.samples, MAX_DRAWS)
     report = verify.run_suite(
         args.suite, max_n=args.max_n, seed=args.seed, samples=args.samples
     )

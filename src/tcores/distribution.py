@@ -121,9 +121,6 @@ class CoreSizePMF:
         """k -> c_t(k) * d_t(n-k) / p(n) as reduced fractions."""
         return {k: Fraction(w, self.denominator) for k, w in self.weights.items()}
 
-    def support(self) -> list[int]:
-        return sorted(self.weights)
-
     def total(self) -> Fraction:
         return Fraction(sum(self.weights.values()), self.denominator)
 
@@ -155,18 +152,15 @@ def scaled_moment(pmf: CoreSizePMF, k: int) -> float:
     return float(Fraction(raw, pmf.denominator)) / pmf.n ** (k / 2.0)
 
 
-def cdf_sup_distance(
-    pmf: CoreSizePMF, params: GammaParams, two_sided: bool = False
-) -> float:
+def cdf_sup_distance(pmf: CoreSizePMF, params: GammaParams) -> float:
     """Sup over the jump points of the scaled CDF against the gamma CDF.
 
-    The scaled CDF is a step function with jumps at k/sqrt(n).  The default
+    The scaled CDF is a step function with jumps at k/sqrt(n).  This
     compares the left limit at every jump, i.e. sup |P(Y/sqrt(n) < x) - G(x)|
-    over the jump points; two_sided=True additionally compares the
-    right-continuous value (the full Kolmogorov distance), which is dominated
-    by the largest single atom and is not monotone in n along arbitrary
-    residue classes.  n = 0 is degenerate (unit mass at 0 against a
-    continuous law) and returns 1 by convention.
+    over the jump points.  The right-continuous value (the full Kolmogorov
+    distance) is left out: it is dominated by the largest single atom and is
+    not monotone in n along arbitrary residue classes.  n = 0 is degenerate
+    (unit mass at 0 against a continuous law) and returns 1 by convention.
     """
     if pmf.n == 0:
         return 1.0
@@ -179,8 +173,6 @@ def cdf_sup_distance(
         g = gamma_cdf(params, j / scale)
         best = max(best, abs(cumulative / pmf.denominator - g))
         cumulative += pmf.weights[j]
-        if two_sided:
-            best = max(best, abs(cumulative / pmf.denominator - g))
     return best
 
 

@@ -4,12 +4,12 @@ Production modules keep one algorithm per quantity; the verification suite
 and the tests check each of them against a second route kept here.  These
 routes deliberately avoid the machinery they check: core counts from lattice
 points of the quadratic form f_t and from a divisor sum, cores from rim-hook
-stripping and core membership from raw hook scans, quotients from cell
-contents, the quotient action from runner shifts, counting series from dense
-products of Euler factors, sampler rows from the cell-by-cell recurrence with
-one bisection per part, the exact hook-residue law from a census of every
-partition of n, and the sampled hook-residue law from one fresh generator per
-draw.  Lattice volumes sit here too: they only cross-check leading terms.
+stripping, quotients from cell contents, the quotient action from runner
+shifts, counting series from dense products of Euler factors, sampler rows
+from the cell-by-cell recurrence with one bisection per part, the exact
+hook-residue law from a census of every partition of n, and the sampled
+hook-residue law from one fresh generator per draw.  Lattice volumes sit
+here too: they only cross-check leading terms.
 """
 from __future__ import annotations
 
@@ -177,10 +177,6 @@ def c3_divisor_oracle(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # cores, quotients and the action without the core/quotient division
-
-
-def is_core_by_hooks(shape: PartitionShape, t: int) -> bool:
-    return not any(h % t == 0 for h in hook_lengths(shape))
 
 
 def core_by_rim_stripping(shape: PartitionShape, t: int) -> PartitionShape:

@@ -26,10 +26,6 @@ class PartitionShape:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.parts)
-
     def row(self, i: int) -> int:
         """Length of row i (1-based); 0 beyond the last row."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0

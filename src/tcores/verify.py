@@ -333,7 +333,7 @@ def check_triple_oracle(max_n: int) -> CaseResult:
             return _case("triple_oracle", {"t": t}, False,
                          "series vs lattice mismatch")
         for n in range(enum_limit + 1):
-            brute = sum(1 for s in _shapes(n) if oracles.is_core_by_hooks(s, t))
+            brute = sum(1 for hooks in _hooks(n) if not any(h % t == 0 for h in hooks))
             if brute != table[n]:
                 return _case("triple_oracle", {"t": t, "n": n}, False,
                              "series vs enumeration mismatch")
@@ -382,8 +382,8 @@ def check_justification_form(max_n: int) -> CaseResult:
     limit = min(max_n, 30)
     for n in range(limit + 1):
         for t in (2, 3, 4, 5):
-            for shape in _shapes(n):
-                if not oracles.is_core_by_hooks(shape, t):
+            for shape, hooks in zip(_shapes(n), _hooks(n)):
+                if any(h % t == 0 for h in hooks):
                     continue
                 vec = justification_vector(shape, t)
                 if sum(vec) != 0 or counting.f_t(vec, t) != n:

@@ -1,0 +1,15 @@
+"""Shared fixtures.
+
+The exhaustive finite-n sweeps live in `tcores.verify`; the tests run the
+whole suite once per session, at the scale its cases are stated for, and
+read each case from that one report.
+"""
+import pytest
+
+from tcores import verify
+
+
+@pytest.fixture(scope="session")
+def full_report() -> verify.VerificationReport:
+    """Every verify case at max_n = 30 (the per-case caps take over beyond)."""
+    return verify.run_suite("all", max_n=30, seed=2024, samples=20000)

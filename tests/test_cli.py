@@ -4,10 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tcores import distribution
-from tcores.cli import ORBIT_MAX_T, run
+from tcores.cli import MAX_DRAWS, ORBIT_MAX_T, run
 from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import EXACT_MAX_N
 from tcores.sampling import SAMPLER_MAX_N
@@ -264,6 +264,9 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     f"pmf --t 3 --n {SERIES_MAX_N + 1}",
     f"figure2 --t 3 --max-n {SERIES_MAX_N + 1}",
     f"verify --max-n {SERIES_MAX_N + 1}",
+    f"hooks --t 3 --n 5 --mode sample --samples {MAX_DRAWS + 1}",
+    f"sample --n 5 --count {MAX_DRAWS + 1}",
+    f"verify --suite sampling --max-n 3 --samples {MAX_DRAWS + 1}",
     "figure1 --grid-max 1e9 --grid-step 1e-9",
     "figure1 --grid-max 1e300 --grid-step 1e-300",
 ])
@@ -303,6 +306,7 @@ def _fuzz_argv():
     set the cost (verify's --suite and --max-n, the --samples counts) are
     always given."""
     small = st.integers(-3, 12).map(str)
+    draws = st.one_of(st.integers(-3, 300), st.just(MAX_DRAWS + 1)).map(str)
     listed = st.lists(st.integers(-3, 12), max_size=3).map(lambda xs: ",".join(map(str, xs)))
     choices = {
         "counts": {"--t": small, "--max-n": small,
@@ -318,15 +322,15 @@ def _fuzz_argv():
                   "--mode": st.sampled_from(["exact", "sample"])},
         "orbit": {"--t": st.sampled_from(["-1", "1", "2", "3", "4", str(ORBIT_MAX_T + 1)]),
                   "--nu": listed, "--max-b": small},
-        "sample": {"--n": small, "--count": small, "--seed": small},
+        "sample": {"--n": small, "--count": draws, "--seed": small},
         "verify": {"--seed": small},
     }
     always = {
-        "hooks": {"--samples": st.integers(-3, 300).map(str)},
+        "hooks": {"--samples": draws},
         "verify": {"--suite": st.sampled_from(["partitions", "abacus", "counting",
                                                "distribution", "sampling", "bogus"]),
                    "--max-n": st.integers(-3, 8).map(str),
-                   "--samples": st.integers(-3, 300).map(str)},
+                   "--samples": draws},
     }
 
     @st.composite
@@ -345,6 +349,8 @@ def _fuzz_argv():
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_fuzz_argv())
+# the draw cap on a small n (the strategies try the cap + 1)
+@example(["hooks", "--t", "3", "--n", "2", "--mode", "sample", "--samples", str(MAX_DRAWS)])
 def test_fuzzed_command_lines_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,17 +1,16 @@
-"""Run the library verification suite at the scales its cases are stated
-for (the per-case caps take over beyond max_n = 30)."""
+"""The library verification suite: the full-scale report (the shared
+`full_report` fixture) and the suite's error paths."""
 import pytest
 
 from tcores import counting, verify
 
 
-def test_all_suites_pass_at_full_scale():
-    report = verify.run_suite("all", max_n=30, seed=2024, samples=20000)
-    failing = [c for c in report.cases if not c.passed]
+def test_all_suites_pass_at_full_scale(full_report):
+    failing = [c for c in full_report.cases if not c.passed]
     assert not failing, "; ".join(f"{c.name}: {c.detail}" for c in failing)
-    assert report.passed
-    names = {c.name for c in report.cases}
-    assert len(names) == len(report.cases)  # each case reported once
+    assert full_report.passed
+    names = {c.name for c in full_report.cases}
+    assert len(names) == len(full_report.cases)  # each case reported once
 
 
 def test_report_serializes():
