@@ -167,3 +167,22 @@ def test_justification_positions_examples():
 def test_roundtrip_on_random_partitions(shape):
     word = abacus_from_partition(shape)
     assert partition_from_abacus(word) == shape
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_zeros_ones_between_pair_are_arm_and_leg(n):
+    from tcores.partitions import arm_length, hook_length, leg_length
+
+    for shape in enumerate_partitions(n):
+        word = abacus_from_partition(shape)
+        stats = sorted(
+            (j - i,
+             sum(1 for k in range(i + 1, j) if word.bit(k) == 0),
+             sum(1 for k in range(i + 1, j) if word.bit(k) == 1))
+            for i, j in inversion_pairs(word)
+        )
+        cells = sorted(
+            (hook_length(shape, c), arm_length(shape, c), leg_length(shape, c))
+            for c in shape.cells()
+        )
+        assert stats == cells

@@ -105,6 +105,15 @@ def test_sup_distance_degenerate():
     assert dist.cdf_sup_distance(dist.core_size_pmf(7, 0), dist.gamma_params(7)) == 1.0
 
 
+def test_sup_distance_figure_parameters():
+    params = dist.gamma_params(5)
+    d = [
+        dist.cdf_sup_distance(dist.core_size_pmf(5, n), params)
+        for n in (20, 62, 103)
+    ]
+    assert d[0] > d[1] > d[2]
+
+
 def test_sup_distance_shrinks_t3():
     params = dist.gamma_params(3)
     d100 = dist.cdf_sup_distance(dist.core_size_pmf(3, 100), params)
