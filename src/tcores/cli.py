@@ -23,6 +23,10 @@ SCHEMA_VERSION = 1
 # orbit lists all t! permutations: t = 7 takes seconds, t = 8 over half a minute
 ORBIT_MAX_T = 7
 
+# orbit prints a b-smoothing column for each b = 0..max_b and holds every row
+# until it writes: at t = 7 the cap takes about 2.3 s and 185 MB
+ORBIT_MAX_B = 300
+
 # figure1's CDF grid has round(grid_max / grid_step) + 1 rows; 10^5 rows with
 # the three default n take about 1.2 s and 60 MB
 FIGURE1_MAX_ROWS = 100_000
@@ -87,34 +91,30 @@ def _render_parts(parts: tuple[int, ...]) -> str:
 
 def _check_t(t: int) -> int:
     if t < 2:
-        raise SystemExit2(f"t must be at least 2, got {t}")
+        raise ValueError(f"t must be at least 2, got {t}")
     return t
 
 
 def _check_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
-        raise SystemExit2(f"{flag} must be at least {low}, got {value}")
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def _check_at_most(flag: str, value: int, high: int) -> None:
     if value > high:
-        raise SystemExit2(f"{flag} must be at most {high}, got {value}")
-
-
-class SystemExit2(Exception):
-    """Usage error distinct from argparse's own SystemExit."""
+        raise ValueError(f"{flag} must be at most {high}, got {value}")
 
 
 def _cmd_counts(args, out) -> int:
     series = [s.strip() for s in args.series.split(",") if s.strip()]
     valid = {"p", "c", "d", "C"}
     if not series or any(s not in valid for s in series) or len(set(series)) < len(series):
-        raise SystemExit2(
+        raise ValueError(
             f"--series takes a subset of p,c,d,C, each once, got {args.series!r}")
     _check_at_least("--max-n", args.max_n, 0)
     if any(s != "p" for s in series):
         if args.t is None:
-            raise SystemExit2("--t is required for the c, d and C series")
+            raise ValueError("--t is required for the c, d and C series")
         _check_t(args.t)
     columns = ["n"]
     tables = {}
@@ -188,12 +188,12 @@ def _cmd_figure1(args, out) -> int:
     params = distribution.gamma_params(args.t)
     if args.view == "cdf":
         if not (0 < args.grid_step < math.inf):
-            raise SystemExit2(f"--grid-step must be positive, got {args.grid_step}")
+            raise ValueError(f"--grid-step must be positive, got {args.grid_step}")
         if not (0 <= args.grid_max < math.inf):
-            raise SystemExit2(f"--grid-max must be nonnegative, got {args.grid_max}")
+            raise ValueError(f"--grid-max must be nonnegative, got {args.grid_max}")
         steps = args.grid_max / args.grid_step       # inf if it overflows
         if not steps < FIGURE1_MAX_ROWS - 0.5:      # round(steps) + 1 rows
-            raise SystemExit2(
+            raise ValueError(
                 f"the figure1 grid takes at most {FIGURE1_MAX_ROWS} rows, "
                 f"got --grid-max {args.grid_max} over --grid-step {args.grid_step}")
         xs = [s * args.grid_step for s in range(round(steps) + 1)]
@@ -219,8 +219,8 @@ def _cmd_figure2(args, out) -> int:
     _check_t(args.t)
     _check_at_least("--max-n", args.max_n, 1)
     if args.max_n > counting.SERIES_MAX_N:
-        raise SystemExit2(f"figure2 takes --max-n at most {counting.SERIES_MAX_N}, "
-                          f"got {args.max_n}")
+        raise ValueError(f"figure2 takes --max-n at most {counting.SERIES_MAX_N}, "
+                         f"got {args.max_n}")
     rows = []
     for n in range(1, args.max_n + 1):
         exact, asym = distribution.expected_core_size(args.t, n)
@@ -253,11 +253,13 @@ def _cmd_hooks(args, out) -> int:
 def _cmd_orbit(args, out) -> int:
     _check_t(args.t)
     if args.t > ORBIT_MAX_T:
-        raise SystemExit2(f"orbit takes t at most {ORBIT_MAX_T}, got {args.t}")
+        raise ValueError(f"orbit takes t at most {ORBIT_MAX_T}, got {args.t}")
     from .partitions import make_partition
 
     nu = make_partition(args.nu)
     max_b = args.max_b if args.max_b is not None else args.t - 1
+    _check_at_least("--max-b", max_b, 0)
+    _check_at_most("--max-b", max_b, ORBIT_MAX_B)
     words = ["".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1))]
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
     sigmas = [hookstats.permutation_from_word(word) for word in words]
@@ -274,10 +276,10 @@ def _cmd_sample(args, out) -> int:
     _check_at_least("--count", args.count, 1)
     _check_at_most("--count", args.count, MAX_DRAWS)
     table = sampling.build_sampler(args.n)
-    rows = [
+    rows = (
         [i, _render_parts(sampling.sample_partition(table, args.seed, i).parts)]
         for i in range(args.count)
-    ]
+    )
     _emit(out, args.format, "sample", ["index", "partition"], rows)
     return 0
 
@@ -396,7 +398,7 @@ def run(argv: Sequence[str]) -> int:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
                 return args.fn(args, handle)
         return args.fn(args, sys.stdout)
-    except (SystemExit2, ValueError) as exc:
+    except ValueError as exc:
         print(f"tcores: error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,18 +25,23 @@ class CoreQuotient:
     divisible: PartitionShape
 
 
+def _beads(parts: tuple[int, ...]) -> list[int]:
+    # row j's bead in the balanced word sits at parts[j-1] - j, descending
+    return [part - j for j, part in enumerate(parts, start=1)]
+
+
 def _divide(
     shape: PartitionShape, t: int
 ) -> tuple[tuple[int, ...], tuple[PartitionShape, ...]]:
-    # row j's bead sits at parts[j-1] - j = level * t + runner; padded to m * t
-    # rows, each runner is full below level -m, so p_i is its bead count - m,
-    # and its k-th bead from the top, at level L, gives part L - p_i + k of q_i
+    # a bead sits at level * t + runner; padded to m * t rows, each runner is
+    # full below level -m, so p_i is its bead count - m, and its k-th bead
+    # from the top, at level L, gives part L - p_i + k of q_i
     _require_t(t)
     parts = shape.parts
     m = -(-len(parts) // t)
     levels: list[list[int]] = [[] for _ in range(t)]
-    for j, part in enumerate(parts + (0,) * (m * t - len(parts)), start=1):
-        level, runner = divmod(part - j, t)
+    for bead in _beads(parts + (0,) * (m * t - len(parts))):
+        level, runner = divmod(bead, t)
         levels[runner].append(level)
     positions = tuple(len(beads) - m for beads in levels)
     return positions, tuple(

@@ -17,15 +17,8 @@ from operator import neg
 from typing import Iterable, Sequence
 
 from . import counting, sampling
-from .corequotient import _assemble, _divide
-from .partitions import (
-    EMPTY,
-    Cell,
-    PartitionShape,
-    _require_t,
-    conjugate_parts,
-    hook_lengths,
-)
+from .corequotient import _assemble, _beads, _divide
+from .partitions import Cell, PartitionShape, _require_t, conjugate_parts, hook_lengths
 
 # building p up to n costs about n^1.5 big-integer additions: from a cold
 # start, n = 20 000 takes about 0.15 s and 1.3 MB of RSS, n = 40 000 about 0.5 s
@@ -230,11 +223,6 @@ class SmoothedRegion:
     parent: PartitionShape
 
 
-def _pair_positions(parts: tuple[int, ...]) -> list[int]:
-    # bead position of row r in the balanced word: parts[r-1] - r
-    return [width - r for r, width in enumerate(parts, start=1)]
-
-
 def b_smoothing(nu: PartitionShape, t: int, b: int) -> SmoothedRegion:
     """Cells of nu whose (0,1) abacus pairs sit at least b+1 runner columns
     apart; b = -1 returns nu itself."""
@@ -246,26 +234,18 @@ def b_smoothing(nu: PartitionShape, t: int, b: int) -> SmoothedRegion:
 
 
 def _smoothing_cells(nu: PartitionShape, t: int, b: int) -> PartitionShape:
-    # nu must be t-divisible
-    parts = nu.parts
-    conj = conjugate_parts(parts)
-    beads = _pair_positions(parts)
+    # nu must be t-divisible.  Row r pairs its bead beta with each gap below
+    # it, one per cell; the pair is over b columns apart when the gap lies
+    # below x = t * (beta // t - b), and x + #{beads >= x} gaps do
+    beads = _beads(nu.parts)
     rows = []
-    for r, width in enumerate(parts, start=1):
-        j_pos = beads[r - 1]
-        col_j = j_pos // t
-        kept = 0
-        for c in range(1, width + 1):
-            hook = width - c + conj[c - 1] - r + 1
-            col_i = (j_pos - hook) // t
-            if col_j - col_i >= b + 1:
-                kept += 1
-            else:
-                break  # the gap only shrinks along a row
-        if kept == 0:
-            break
+    for width, beta in zip(nu.parts, beads):
+        x = t * (beta // t - b)
+        kept = min(width, x + bisect_right(beads, -x, key=neg))
+        if kept <= 0:
+            break  # the smoothing is a partition: no later row keeps a cell
         rows.append(kept)
-    return PartitionShape(tuple(rows)) if rows else EMPTY
+    return PartitionShape(tuple(rows))
 
 
 def _core_spread(
@@ -297,28 +277,16 @@ def phi_map(shape: PartitionShape, t: int) -> dict[Cell, Cell]:
     """
     nu, positions, b = _core_spread(shape, t)
     region = _smoothing_cells(nu, t, b)
-
-    # pair -> cell lookup in the target partition
-    target_beads = _pair_positions(shape.parts)
-    pair_to_cell: dict[tuple[int, int], Cell] = {}
-    for cell, hook in zip(shape.cells(), hook_lengths(shape)):
-        j_pos = target_beads[cell.row - 1]
-        pair_to_cell[(j_pos - hook, j_pos)] = cell
-
-    nu_beads = _pair_positions(nu.parts)
-    nu_hooks = hook_lengths(nu)
-    row_start = 0
+    # cell (r, c) of nu is the pair (its c-th gap c - 1 - nu'_c, row r's
+    # bead); each end moves to g + t * p_{g mod t}, and in the partition's
+    # word bead j is row #{beads >= j} and gap i is column i + 1 + #{beads > i}
+    gaps = [c - height for c, height in enumerate(conjugate_parts(nu.parts))]
+    beads = _beads(shape.parts)
     out: dict[Cell, Cell] = {}
-    for r, width in enumerate(region.parts, start=1):
-        g1 = nu_beads[r - 1]
-        runner_one, col_one = g1 % t, g1 // t
-        for c, hook in enumerate(nu_hooks[row_start:row_start + width], start=1):
-            g0 = g1 - hook
-            runner_zero, col_zero = g0 % t, g0 // t
-            src = (
-                (col_zero + positions[runner_zero]) * t + runner_zero,
-                (col_one + positions[runner_one]) * t + runner_one,
-            )
-            out[Cell(r, c)] = pair_to_cell[src]
-        row_start += nu.parts[r - 1]
+    for r, (width, bead) in enumerate(zip(region.parts, _beads(nu.parts)), start=1):
+        j = bead + t * positions[bead % t]
+        row = bisect_right(beads, -j, key=neg)
+        for c, gap in enumerate(gaps[:width], start=1):
+            i = gap + t * positions[gap % t]
+            out[Cell(r, c)] = Cell(row, i + 1 + bisect_right(beads, -i - 1, key=neg))
     return out

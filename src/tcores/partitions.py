@@ -26,10 +26,6 @@ class PartitionShape:
     def size(self) -> int:
         return sum(self.parts)
 
-    def row(self, i: int) -> int:
-        """Length of row i (1-based); 0 beyond the last row."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def contains(self, cell: Cell) -> bool:
         r, c = cell
         return 1 <= r <= len(self.parts) and 1 <= c <= self.parts[r - 1]

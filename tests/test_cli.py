@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tcores import distribution
-from tcores.cli import MAX_DRAWS, ORBIT_MAX_T, run
+from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, run
 from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import EXACT_MAX_N
 from tcores.sampling import SAMPLER_MAX_N
@@ -190,6 +190,16 @@ def test_orbit_rejects_non_divisible(capsys):
     assert run(["orbit", "--t", "3", "--nu", "1"]) == 2
 
 
+def test_orbit_takes_max_b_up_to_the_cap(capsys):
+    code, out = run_capture(capsys, "orbit", "--t", "3", "--nu", "3",
+                            "--max-b", str(ORBIT_MAX_B))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 7
+    assert lines[0].split(",")[-1] == f"C^{ORBIT_MAX_B}"
+    assert lines[1].startswith("123,3,1,-,")
+
+
 def test_sample_deterministic_bytes(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -257,6 +267,8 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "moments --t 3 --n 5 --max-k 0",
     "orbit --t 12 --nu 1",
     "orbit --t 8 --nu 1",
+    "orbit --t 3 --nu 3 --max-b -1",
+    f"orbit --t 3 --nu 3 --max-b {ORBIT_MAX_B + 1}",
     f"sample --n {SAMPLER_MAX_N + 1}",
     f"hooks --t 3 --n {SAMPLER_MAX_N + 1} --mode sample --samples 5",
     f"hooks --t 3 --n {EXACT_MAX_N + 1}",
@@ -321,7 +333,9 @@ def _fuzz_argv():
         "hooks": {"--t": small, "--n": small, "--seed": small,
                   "--mode": st.sampled_from(["exact", "sample"])},
         "orbit": {"--t": st.sampled_from(["-1", "1", "2", "3", "4", str(ORBIT_MAX_T + 1)]),
-                  "--nu": listed, "--max-b": small},
+                  "--nu": listed,
+                  "--max-b": st.one_of(small, st.just(str(ORBIT_MAX_B)),
+                                       st.just(str(ORBIT_MAX_B + 1)))},
         "sample": {"--n": small, "--count": draws, "--seed": small},
         "verify": {"--seed": small},
     }

@@ -239,6 +239,24 @@ def test_smoothing_rejects_bad_input():
         hs.b_smoothing(NU, 3, -2)
 
 
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_smoothing_keeps_the_pairs_over_b_columns_apart(t):
+    # cell (r, c) is the pair (beta - h, beta) with beta = nu_r - r; its span
+    # is the number of runner columns between the two ends
+    def span(nu, cell):
+        beta = nu.parts[cell.row - 1] - cell.row
+        return beta // t - (beta - hook_length(nu, cell)) // t
+
+    for m in range(0, 16, t):
+        for nu in enumerate_partitions(m):
+            if core(nu, t) != EMPTY:
+                continue
+            spans = {cell: span(nu, cell) for cell in nu.cells()}
+            for b in range(-1, m + 1):
+                kept = set(hs.b_smoothing(nu, t, b).cells.cells())
+                assert kept == {cell for cell, span in spans.items() if span >= b + 1}
+
+
 def test_smoothing_is_subpartition():
     for m in (6, 9, 12):
         for nu in enumerate_partitions(m):
