@@ -17,19 +17,21 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from . import counting, distribution, hookstats, sampling, verify
+from .partitions import _require_t, make_partition
 
 SCHEMA_VERSION = 1
 
 # orbit lists all t! permutations: t = 7 takes seconds, t = 8 over half a minute
 ORBIT_MAX_T = 7
 
-# orbit prints a b-smoothing column for each b = 0..max_b and holds every row
-# until it writes: at t = 7 the cap takes about 2.3 s and 185 MB
+# orbit prints a b-smoothing column for each b = 0..max_b: at t = 7 the cap
+# takes about 0.35 s and 18 MB in CSV, 150 MB in JSON
 ORBIT_MAX_B = 300
 
-# figure1's CDF grid has round(grid_max / grid_step) + 1 rows; 10^5 rows with
-# the three default n take about 1.2 s and 60 MB
-FIGURE1_MAX_ROWS = 100_000
+# figure1's CDF grid has round(grid_max / grid_step) + 1 rows and a column per
+# n value; at the cap, one n value (3 * 10^5 rows) takes about 1.2 s and 90 MB,
+# the three default n (10^5 rows) about 0.5 s and 50 MB
+FIGURE1_MAX_CELLS = 300_000
 
 # draws per request: hooks --mode sample --samples, verify --samples and
 # sample --count; at n = 4000 a draw costs about 50 us and a sample row about
@@ -89,12 +91,6 @@ def _render_parts(parts: tuple[int, ...]) -> str:
     return " ".join(str(p) for p in parts) if parts else "-"
 
 
-def _check_t(t: int) -> int:
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    return t
-
-
 def _check_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
@@ -115,7 +111,7 @@ def _cmd_counts(args, out) -> int:
     if any(s != "p" for s in series):
         if args.t is None:
             raise ValueError("--t is required for the c, d and C series")
-        _check_t(args.t)
+        _require_t(args.t)
     columns = ["n"]
     tables = {}
     for s in series:
@@ -137,7 +133,7 @@ def _cmd_counts(args, out) -> int:
 
 
 def _cmd_pmf(args, out) -> int:
-    _check_t(args.t)
+    _require_t(args.t)
     pmf = distribution.core_size_pmf(args.t, args.n)
     cores = counting.core_count_table(args.t, args.n)
     divis = counting.divisible_count_table(args.t, args.n)
@@ -151,7 +147,7 @@ def _cmd_pmf(args, out) -> int:
 
 
 def _cmd_moments(args, out) -> int:
-    _check_t(args.t)
+    _require_t(args.t)
     _check_at_least("--n", args.n[0], 1)
     _check_at_least("--max-k", args.max_k, 1)
     params = distribution.gamma_params(args.t)
@@ -159,11 +155,15 @@ def _cmd_moments(args, out) -> int:
     for n in args.n:
         pmf = distribution.core_size_pmf(args.t, n)
         for k in range(1, args.max_k + 1):
-            rows.append([
-                n, k,
-                distribution.scaled_moment(pmf, k),
-                distribution.gamma_moment(params, k),
-            ])
+            try:
+                rows.append([
+                    n, k,
+                    distribution.scaled_moment(pmf, k),
+                    distribution.gamma_moment(params, k),
+                ])
+            except OverflowError:
+                raise ValueError(f"--max-k {args.max_k} is too large: the moments "
+                                 f"of order {k} at n={n} do not fit a float") from None
     _emit(out, args.format, "moments",
           ["n", "k", "scaled_moment", "gamma_moment"], rows)
     return 0
@@ -184,7 +184,7 @@ def _cdf_on_grid(pmf, xs: list[float]) -> list[float]:
 
 
 def _cmd_figure1(args, out) -> int:
-    _check_t(args.t)
+    _require_t(args.t)
     params = distribution.gamma_params(args.t)
     if args.view == "cdf":
         if not (0 < args.grid_step < math.inf):
@@ -192,10 +192,12 @@ def _cmd_figure1(args, out) -> int:
         if not (0 <= args.grid_max < math.inf):
             raise ValueError(f"--grid-max must be nonnegative, got {args.grid_max}")
         steps = args.grid_max / args.grid_step       # inf if it overflows
-        if not steps < FIGURE1_MAX_ROWS - 0.5:      # round(steps) + 1 rows
+        max_rows = FIGURE1_MAX_CELLS // len(args.n)
+        if not steps < max_rows - 0.5:              # round(steps) + 1 rows
             raise ValueError(
-                f"the figure1 grid takes at most {FIGURE1_MAX_ROWS} rows, "
-                f"got --grid-max {args.grid_max} over --grid-step {args.grid_step}")
+                f"the figure1 grid takes at most {FIGURE1_MAX_CELLS} cells, "
+                f"{max_rows} rows for {len(args.n)} n values, got --grid-max "
+                f"{args.grid_max} over --grid-step {args.grid_step}")
         xs = [s * args.grid_step for s in range(round(steps) + 1)]
         cdfs = [_cdf_on_grid(distribution.core_size_pmf(args.t, n), xs) for n in args.n]
         columns = ["x", *(f"cdf_n{n}" for n in args.n), "gamma_cdf"]
@@ -216,7 +218,7 @@ def _cmd_figure1(args, out) -> int:
 
 
 def _cmd_figure2(args, out) -> int:
-    _check_t(args.t)
+    _require_t(args.t)
     _check_at_least("--max-n", args.max_n, 1)
     if args.max_n > counting.SERIES_MAX_N:
         raise ValueError(f"figure2 takes --max-n at most {counting.SERIES_MAX_N}, "
@@ -230,7 +232,7 @@ def _cmd_figure2(args, out) -> int:
 
 
 def _cmd_hooks(args, out) -> int:
-    _check_t(args.t)
+    _require_t(args.t)
     if args.mode == "exact":
         xs = hookstats.exact_residue_distribution(args.t, args.n)
         rows = [[i, x, float(x)] for i, x in enumerate(xs)]
@@ -251,23 +253,25 @@ def _cmd_hooks(args, out) -> int:
 
 
 def _cmd_orbit(args, out) -> int:
-    _check_t(args.t)
+    _require_t(args.t)
     if args.t > ORBIT_MAX_T:
         raise ValueError(f"orbit takes t at most {ORBIT_MAX_T}, got {args.t}")
-    from .partitions import make_partition
-
     nu = make_partition(args.nu)
     max_b = args.max_b if args.max_b is not None else args.t - 1
     _check_at_least("--max-b", max_b, 0)
     _check_at_most("--max-b", max_b, ORBIT_MAX_B)
-    words = ["".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1))]
+    # the action moves bead pairs between runners without changing their
+    # column spread, so each b-smoothing (b >= 0) is the same on the whole
+    # orbit: take it once, from nu, which also checks nu before any output
+    smoothings = [_render_parts(hookstats.b_smoothing(nu, args.t, b).cells.parts)
+                  for b in range(max_b + 1)]
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
-    sigmas = [hookstats.permutation_from_word(word) for word in words]
-    images = hookstats.orbit_smoothings(sigmas, nu, args.t, max_b)
-    rows = [
-        [word, _render_parts(image.parts), *(_render_parts(c.parts) for c in cells)]
-        for word, (image, cells) in zip(words, images)
-    ]
+    words = ("".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1)))
+    rows = (
+        [word, _render_parts(hookstats.act_on_divisible(
+            hookstats.permutation_from_word(word), nu, args.t).parts), *smoothings]
+        for word in words
+    )
     _emit(out, args.format, "orbit", columns, rows)
     return 0
 

@@ -192,23 +192,6 @@ def s_t_orbit(nu: PartitionShape, t: int) -> list[PartitionShape]:
     return sorted(orbit, key=lambda s: s.parts, reverse=True)
 
 
-def orbit_smoothings(
-    sigmas: Iterable[Sequence[int]], nu: PartitionShape, t: int, max_b: int
-) -> list[tuple[PartitionShape, tuple[PartitionShape, ...]]]:
-    """The image of a t-divisible partition under each permutation, with
-    the cells of its b-smoothings for b = 0..max_b.
-
-    Same values as act_on_divisible and b_smoothing, but nu is checked and
-    its quotient taken once, and each image is divisible by construction.
-    """
-    _require_t(t)
-    sigmas = [_require_permutation(sigma, t) for sigma in sigmas]
-    return [
-        (image, tuple(_smoothing_cells(image, t, b) for b in range(max_b + 1)))
-        for image in _permuted_images(nu, t, sigmas)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # smoothings and the cell injection
 

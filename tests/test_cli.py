@@ -2,14 +2,19 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tcores import distribution
 from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, run
+from tcores.corequotient import core
 from tcores.counting import SERIES_MAX_N
-from tcores.hookstats import EXACT_MAX_N
+from tcores.hookstats import (
+    EXACT_MAX_N, act_on_divisible, b_smoothing, permutation_from_word,
+)
+from tcores.partitions import EMPTY, MAX_T, enumerate_partitions, make_partition
 from tcores.sampling import SAMPLER_MAX_N
 
 
@@ -190,14 +195,41 @@ def test_orbit_rejects_non_divisible(capsys):
     assert run(["orbit", "--t", "3", "--nu", "1"]) == 2
 
 
+def _render(shape) -> str:
+    return " ".join(map(str, shape.parts)) or "-"
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_orbit_rows_match_action_and_smoothing(capsys, t):
+    # each image is smoothed on its own here, not read off nu
+    for m in range(0, 13, t):
+        for nu in enumerate_partitions(m):
+            if core(nu, t) != EMPTY:
+                continue
+            code, out = run_capture(capsys, "orbit", "--t", str(t), "--nu",
+                                    ",".join(map(str, nu.parts)) or "-",
+                                    "--max-b", str(2 * t))
+            assert code == 0
+            words = ["".join(map(str, w)) for w in permutations(range(1, t + 1))]
+            expected = []
+            for word in words:
+                image = act_on_divisible(permutation_from_word(word), nu, t)
+                expected.append(",".join([word, _render(image), *(
+                    _render(b_smoothing(image, t, b).cells) for b in range(2 * t + 1))]))
+            assert out.splitlines()[1:] == expected
+
+
 def test_orbit_takes_max_b_up_to_the_cap(capsys):
-    code, out = run_capture(capsys, "orbit", "--t", "3", "--nu", "3",
+    code, out = run_capture(capsys, "orbit", "--t", "7", "--nu", "7",
                             "--max-b", str(ORBIT_MAX_B))
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 5041
     assert lines[0].split(",")[-1] == f"C^{ORBIT_MAX_B}"
-    assert lines[1].startswith("123,3,1,-,")
+    nu = make_partition([7])
+    smoothings = [_render(b_smoothing(nu, 7, b).cells) for b in range(ORBIT_MAX_B + 1)]
+    for line in lines[1:]:
+        assert line.split(",")[2:] == smoothings
 
 
 def test_sample_deterministic_bytes(tmp_path):
@@ -265,6 +297,8 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "figure2 --max-n -5",
     "moments --t 3 --n 0",
     "moments --t 3 --n 5 --max-k 0",
+    "moments --t 3 --n 100 --max-k 158",
+    "moments --t 3 --n 1 --max-k 171",
     "orbit --t 12 --nu 1",
     "orbit --t 8 --nu 1",
     "orbit --t 3 --nu 3 --max-b -1",
@@ -281,6 +315,9 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     f"verify --suite sampling --max-n 3 --samples {MAX_DRAWS + 1}",
     "figure1 --grid-max 1e9 --grid-step 1e-9",
     "figure1 --grid-max 1e300 --grid-step 1e-300",
+    "figure1 --t 2 --n 1,2,3,4 --grid-max 4 --grid-step 0.00005",
+    f"counts --t {MAX_T + 1} --max-n 10",
+    f"hooks --t {MAX_T + 1} --n 5",
 ])
 def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert run(argv.split()) == 2
@@ -324,7 +361,8 @@ def _fuzz_argv():
         "counts": {"--t": small, "--max-n": small,
                    "--series": st.sampled_from(["p", "c,d", "p,c,d,C", "C,C", "x", ""])},
         "pmf": {"--t": small, "--n": small},
-        "moments": {"--t": small, "--n": listed, "--max-k": small},
+        "moments": {"--t": small, "--n": listed,
+                    "--max-k": st.one_of(small, st.just("200"))},
         "figure1": {"--t": small, "--n": listed,
                     "--view": st.sampled_from(["cdf", "density"]),
                     "--grid-max": st.floats(-1.0, 1e12).map(repr),
