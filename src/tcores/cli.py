@@ -8,10 +8,13 @@ byte-identical output for the data subcommands.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 from typing import IO, Sequence
@@ -59,19 +62,29 @@ def _json_value(value):
     return value
 
 
+# a row holds scalars only, so the compact encoder with the item separator of
+# depth 2 writes its items as json.dumps(payload, indent=2) does
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def _emit(out: IO[str], fmt: str, command: str, columns: list[str], rows) -> None:
+    """Write the header, then each row as it comes; JSON output is byte for
+    byte json.dumps(payload, indent=2) of the whole payload."""
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
         for row in rows:
             out.write(",".join(_fmt(v) for v in row) + "\n")
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "columns": columns,
-            "rows": [[_json_value(v) for v in row] for row in rows],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        return
+    head = json.dumps(
+        {"schema_version": SCHEMA_VERSION, "command": command, "columns": columns},
+        indent=2)
+    out.write(head[:-2] + ',\n  "rows": [')
+    empty = True
+    for row in rows:
+        items = _ROW_ENCODER.encode([_json_value(v) for v in row])[1:-1]
+        out.write(("\n    [\n      " if empty else ",\n    [\n      ") + items + "\n    ]")
+        empty = False
+    out.write("]\n}\n" if empty else "\n  ]\n}\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -127,7 +140,7 @@ def _cmd_counts(args, out) -> int:
         else:
             tables[s] = counting.core_sum_table(args.t, args.max_n)
             columns.append("C_t")
-    rows = [[n, *(tables[s][n] for s in series)] for n in range(args.max_n + 1)]
+    rows = ([n, *(tables[s][n] for s in series)] for n in range(args.max_n + 1))
     _emit(out, args.format, "counts", columns, rows)
     return 0
 
@@ -201,10 +214,10 @@ def _cmd_figure1(args, out) -> int:
         xs = [s * args.grid_step for s in range(round(steps) + 1)]
         cdfs = [_cdf_on_grid(distribution.core_size_pmf(args.t, n), xs) for n in args.n]
         columns = ["x", *(f"cdf_n{n}" for n in args.n), "gamma_cdf"]
-        rows = [
+        rows = (
             [x, *(cdf[i] for cdf in cdfs), distribution.gamma_cdf(params, x)]
             for i, x in enumerate(xs)
-        ]
+        )
         _emit(out, args.format, "figure1", columns, rows)
     else:
         rows = []
@@ -220,13 +233,8 @@ def _cmd_figure1(args, out) -> int:
 def _cmd_figure2(args, out) -> int:
     _require_t(args.t)
     _check_at_least("--max-n", args.max_n, 1)
-    if args.max_n > counting.SERIES_MAX_N:
-        raise ValueError(f"figure2 takes --max-n at most {counting.SERIES_MAX_N}, "
-                         f"got {args.max_n}")
-    rows = []
-    for n in range(1, args.max_n + 1):
-        exact, asym = distribution.expected_core_size(args.t, n)
-        rows.append([n, exact, asym])
+    means = distribution.expected_core_sizes(args.t, args.max_n)
+    rows = ([n, exact, asym] for n, (exact, asym) in enumerate(means, start=1))
     _emit(out, args.format, "figure2", ["n", "expected_exact", "asymptote"], rows)
     return 0
 
@@ -389,9 +397,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_to_file(args) -> int:
+    """Run the command into a temporary file beside --output and move it into
+    place only when the command completes (exit code 0, or a verify report
+    with 1), so a refused or failed command leaves an existing file as it
+    was."""
+    try:
+        mode = os.stat(args.output).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    if mode is not None and not stat.S_ISREG(mode):
+        # a device or a pipe, such as /dev/null: nothing to keep, and not a
+        # file to replace
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            return args.fn(args, handle)
+    target = os.path.realpath(args.output)
+    partial = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(partial, "x", encoding="utf-8", newline="") as handle:
+            code = args.fn(args, handle)
+        if mode is not None:
+            os.chmod(partial, stat.S_IMODE(mode))
+        os.replace(partial, target)
+        return code
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
 def run(argv: Sequence[str]) -> int:
     """Dispatch a command line; exit code 0 on success, 1 on verification
-    failure, 2 on usage errors."""
+    failure, 2 on usage errors and on an --output that cannot be written."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -399,16 +437,30 @@ def run(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                return args.fn(args, handle)
+            return _run_to_file(args)
         return args.fn(args, sys.stdout)
     except ValueError as exc:
-        print(f"tcores: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        message = f"cannot write --output {args.output}: {exc.strerror or exc}"
+    print(f"tcores: error: {message}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console entry point.  A reader that closes stdout early (| head)
+    ends the command quietly with exit code 141, as a shell reports SIGPIPE."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so that
+        # flush cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

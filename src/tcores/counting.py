@@ -1,8 +1,8 @@
 """Exact counting engines: p(n), t-core counts, t-divisible counts, their
-running sums, the quadratic form behind core sizes, and leading-order
-estimates.
+running sums, the divisor-weighted sums behind the expected core size, the
+quadratic form behind core sizes, and leading-order estimates.
 
-The four integer series share one engine built on the sparse Euler factor
+The five integer series share one engine built on the sparse Euler factor
 prod (1 - x^k) (see below).  Each series is kept as one growing list per
 (kind, t); a request extends it from where it stopped and is served as a
 prefix, under one module lock.
@@ -27,8 +27,9 @@ SERIES_MAX_N = 50_000
 class SeriesTable:
     """Coefficients 0..max_n of one counting sequence.
 
-    kind is one of "p" (partitions), "c" (t-cores), "d" (t-divisible) or
-    "C" (distinct cores among partitions of n); t is None for "p".
+    kind is one of "p" (partitions), "c" (t-cores), "d" (t-divisible),
+    "C" (distinct cores among partitions of n) or "S" (the sums
+    S_t(n) = sum_{j>=1} sigma(j) p(n - tj)); t is None for "p".
     """
 
     kind: str
@@ -56,7 +57,11 @@ class SeriesTable:
 #          the grid m = n/t, then one sparse division by E(x), so every
 #          intermediate coefficient stays a small integer,
 #   d_t  = P(x^t)^t, so d_t(t*m) = [x^m] P^t: t-1 sparse divisions of P by E,
-#   C_t(n) = C_t(n-t) + c_t(n).
+#   C_t(n) = C_t(n-t) + c_t(n),
+#   S_t  = P * (-y E'(y)) / E(y) with y = x^t, since sum_j sigma(j) y^j is
+#          -y E'(y) / E(y); so E(x^t) * S = P * (-y E'(y)), and each new
+#          coefficient is one sparse pass over the pentagonal terms g <= n/t:
+#          S(n) = -sum_g sign_g * (g * p(n - tg) + S(n - tg)).
 # Every stage is a list grown in place, so a longer request resumes where the
 # last one stopped and a shorter one is served as a prefix.
 
@@ -68,6 +73,7 @@ _CORES: dict[int, list[int]] = {}
 _QUOTIENT_STAGES: dict[int, list[list[int]]] = {}   # t -> P^j, j = 2..t, at m = n/t
 _DIVISIBLE: dict[int, list[int]] = {}
 _CORE_SUMS: dict[int, list[int]] = {}
+_SIGMA_SUMS: dict[int, list[int]] = {}
 
 
 def clear_tables() -> None:
@@ -75,7 +81,8 @@ def clear_tables() -> None:
     with _LOCK:
         _E.clear()
         del _P[1:]
-        for store in (_EULER_POWERS, _CORES, _QUOTIENT_STAGES, _DIVISIBLE, _CORE_SUMS):
+        for store in (_EULER_POWERS, _CORES, _QUOTIENT_STAGES, _DIVISIBLE, _CORE_SUMS,
+                      _SIGMA_SUMS):
             store.clear()
 
 
@@ -167,6 +174,24 @@ def _core_sum_store(t: int, hi: int) -> list[int]:
     return out
 
 
+def _sigma_sum_store(t: int, hi: int) -> list[int]:
+    p = _partition_store(hi)
+    out = _SIGMA_SUMS.setdefault(t, [])
+    terms = _pentagonal_terms(hi // t)
+    for n in range(len(out), hi + 1):
+        total = 0
+        for g, sign in terms:
+            m = n - t * g
+            if m < 0:
+                break
+            if sign < 0:
+                total += g * p[m] + out[m]
+            else:
+                total -= g * p[m] + out[m]
+        out.append(total)
+    return out
+
+
 def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -199,6 +224,17 @@ def core_sum_table(t: int, max_n: int) -> SeriesTable:
     """C_t(0..max_n) where C_t(n) = C_t(n-t) + c_t(n)."""
     _require_t(t)
     return _serve("C", t, max_n, _core_sum_store)
+
+
+def sigma_sum_table(t: int, max_n: int) -> SeriesTable:
+    """S_t(0..max_n) where S_t(n) = sum_{j>=1} sigma(j) p(n - tj).
+
+    Over all partitions of n, the cells whose hook length is divisible by t
+    number t * S_t(n) (Bacher-Manivel), so the mean t-quotient size is
+    t * S_t(n) / p(n).
+    """
+    _require_t(t)
+    return _serve("S", t, max_n, _sigma_sum_store)
 
 
 def core_sum(t: int, n: int) -> int:

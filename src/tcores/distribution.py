@@ -16,6 +16,7 @@ from .counting import (
     core_count_table,
     divisible_count_table,
     partition_count_table,
+    sigma_sum_table,
 )
 from .partitions import _require_t
 
@@ -176,14 +177,30 @@ def cdf_sup_distance(pmf: CoreSizePMF, params: GammaParams) -> float:
     return best
 
 
+def _expected(t: int, n: int, p_n: int, s_n: int) -> tuple[Fraction, float]:
+    # n = |core| + t * w, and the mean quotient size w is t * S_t(n) / p(n)
+    exact = Fraction(n * p_n - t * t * s_n, p_n)
+    return exact, (t - 1) * math.sqrt(6.0 * n) / (2.0 * math.pi)
+
+
 def expected_core_size(t: int, n: int) -> tuple[Fraction, float]:
-    """Exact E[core size] and its large-n asymptote (t-1) sqrt(6n) / (2 pi)."""
+    """Exact E[core size] and its large-n asymptote (t-1) sqrt(6n) / (2 pi).
+
+    The exact mean is n - t^2 S_t(n) / p(n), read off the grown p and S_t
+    series; no core-size law is built.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    pmf = core_size_pmf(t, n)
-    exact = Fraction(sum(j * w for j, w in pmf.weights.items()), pmf.denominator)
-    asymptote = (t - 1) * math.sqrt(6.0 * n) / (2.0 * math.pi)
-    return exact, asymptote
+    return _expected(t, n, partition_count_table(n)[n], sigma_sum_table(t, n)[n])
+
+
+def expected_core_sizes(t: int, max_n: int) -> list[tuple[Fraction, float]]:
+    """expected_core_size(t, n) for n = 1..max_n, reading each series once."""
+    if max_n < 1:
+        raise ValueError("max_n must be positive")
+    p = partition_count_table(max_n).values
+    s = sigma_sum_table(t, max_n).values
+    return [_expected(t, n, p[n], s[n]) for n in range(1, max_n + 1)]
 
 
 def scaled_pmf_points(pmf: CoreSizePMF) -> list[tuple[int, float, Fraction, float]]:

@@ -20,11 +20,6 @@ from . import counting, sampling
 from .corequotient import _assemble, _beads, _divide
 from .partitions import Cell, PartitionShape, _require_t, conjugate_parts, hook_lengths
 
-# building p up to n costs about n^1.5 big-integer additions: from a cold
-# start, n = 20 000 takes about 0.15 s and 1.3 MB of RSS, n = 40 000 about 0.5 s
-EXACT_MAX_N = 20_000
-
-
 def _require_permutation(sigma: Sequence[int], t: int) -> tuple[int, ...]:
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(t)):
@@ -73,16 +68,11 @@ def exact_residue_distribution(t: int, n: int) -> tuple[Fraction, ...]:
     Exact rationals summing to 1, by the closed form of Bacher and Manivel
     ("Hooks and powers of parts in partitions", 2002): over all partitions
     of n, the cells with hook length k number k * sum_{j>=1} p(n - jk).
-    Refuses n beyond EXACT_MAX_N.
+    The p table refuses n beyond counting.SERIES_MAX_N.
     """
     _require_t(t)
     if n < 1:
         raise ValueError("n must be positive")
-    if n > EXACT_MAX_N:
-        raise ValueError(
-            f"the exact hook law is capped at n={EXACT_MAX_N}; "
-            f"got n={n} (switch to sampling)"
-        )
     p = counting.partition_count_table(n).values
     totals = [0] * t
     for k in range(1, n + 1):

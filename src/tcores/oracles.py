@@ -5,11 +5,11 @@ and the tests check each of them against a second route kept here.  These
 routes deliberately avoid the machinery they check: core counts from lattice
 points of the quadratic form f_t and from a divisor sum, cores from rim-hook
 stripping, quotients from cell contents, the quotient action from runner
-shifts, counting series from dense products of Euler factors, sampler rows
-from the cell-by-cell recurrence with one bisection per part, the exact
-hook-residue law from a census of every partition of n, and the sampled
-hook-residue law from one fresh generator per draw.  Lattice volumes sit
-here too: they only cross-check leading terms.
+shifts, counting series from dense products of Euler factors and divisor
+sums, sampler rows from the cell-by-cell recurrence with one bisection per
+part, the exact hook-residue law from a census of every partition of n, and
+the sampled hook-residue law from one fresh generator per draw.  Lattice
+volumes sit here too: they only cross-check leading terms.
 """
 from __future__ import annotations
 
@@ -314,6 +314,18 @@ def core_sums_by_products(t: int, max_n: int) -> tuple[int, ...]:
     """C_t(0..max_n) as sum_i c_t(n - i t) over the dense c_t oracle."""
     c = core_counts_by_products(t, max_n)
     return tuple(sum(c[n - i * t] for i in range(n // t + 1)) for n in range(max_n + 1))
+
+
+def sigma_sums_by_divisors(t: int, max_n: int) -> tuple[int, ...]:
+    """S_t(0..max_n) = sum_{j>=1} sigma(j) p(n - tj), with sigma(j) from a
+    divisor sieve and p from the dense product."""
+    p = partition_counts_by_products(max_n)
+    sigma = [0] * (max_n // t + 1)
+    for d in range(1, len(sigma)):
+        for j in range(d, len(sigma), d):
+            sigma[j] += d
+    return tuple(sum(sigma[j] * p[n - t * j] for j in range(1, n // t + 1))
+                 for n in range(max_n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tcores import distribution
-from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, run
+from tcores import counting
+from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _emit, _json_value, run
 from tcores.corequotient import core
 from tcores.counting import SERIES_MAX_N
-from tcores.hookstats import (
-    EXACT_MAX_N, act_on_divisible, b_smoothing, permutation_from_word,
-)
+from tcores.hookstats import act_on_divisible, b_smoothing, permutation_from_word
 from tcores.partitions import EMPTY, MAX_T, enumerate_partitions, make_partition
 from tcores.sampling import SAMPLER_MAX_N
 
@@ -305,7 +307,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     f"orbit --t 3 --nu 3 --max-b {ORBIT_MAX_B + 1}",
     f"sample --n {SAMPLER_MAX_N + 1}",
     f"hooks --t 3 --n {SAMPLER_MAX_N + 1} --mode sample --samples 5",
-    f"hooks --t 3 --n {EXACT_MAX_N + 1}",
+    f"hooks --t 3 --n {SERIES_MAX_N + 1}",
     f"counts --series p --max-n {SERIES_MAX_N + 1}",
     f"pmf --t 3 --n {SERIES_MAX_N + 1}",
     f"figure2 --t 3 --max-n {SERIES_MAX_N + 1}",
@@ -318,6 +320,9 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "figure1 --t 2 --n 1,2,3,4 --grid-max 4 --grid-step 0.00005",
     f"counts --t {MAX_T + 1} --max-n 10",
     f"hooks --t {MAX_T + 1} --n 5",
+    "counts --max-n 3 --series p --output /nonexistent-directory/out.csv",
+    "counts --max-n 3 --series p --output .",
+    "counts --max-n 3 --series p --output /dev/null/out.csv",
 ])
 def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert run(argv.split()) == 2
@@ -328,12 +333,81 @@ def test_bad_input_is_refused_in_one_line(capsys, argv):
 
 
 def test_figure2_cap_is_refused_before_any_pmf(capsys, monkeypatch):
-    def fail(t, n):
-        raise AssertionError(f"expected_core_size({t}, {n}) was built")
+    # figure2 reads its means off the sigma-series: a refused --max-n must
+    # not grow it
+    def fail(t, hi):
+        raise AssertionError(f"S_{t} was grown to n={hi}")
 
-    monkeypatch.setattr(distribution, "expected_core_size", fail)
+    monkeypatch.setattr(counting, "_sigma_sum_store", fail)
     assert run(["figure2", "--t", "3", "--max-n", str(SERIES_MAX_N + 1)]) == 2
     assert str(SERIES_MAX_N) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "counts --max-n 5 --series x",
+    f"counts --max-n {SERIES_MAX_N + 1} --series p",
+    f"figure2 --t 3 --max-n {SERIES_MAX_N + 1}",
+    f"sample --n 5 --count {MAX_DRAWS + 1}",
+])
+def test_refused_command_keeps_an_existing_output(tmp_path, capsys, argv):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"kept\r\nbytes")
+    assert run([*argv.split(), "--output", str(target)]) == 2
+    assert target.read_bytes() == b"kept\r\nbytes"
+    assert capsys.readouterr().err.startswith("tcores: error: ")
+    assert run(["counts", "--max-n", "2", "--series", "p", "--output", str(target)]) == 0
+    assert target.read_text() == "n,p\n0,1\n1,1\n2,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "--max-n", "20000", "--series", "p"],
+    ["sample", "--n", "300", "--count", str(MAX_DRAWS)],
+])
+def test_reader_closing_early_ends_quietly(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from tcores.cli import main; main()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"n,p" if argv[0] == "counts" else b"index,partition")
+    assert code == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    "counts --t 3 --max-n 20",
+    "pmf --t 3 --n 11",
+    "moments --t 3 --n 25,50 --max-k 2",
+    "figure1 --t 5 --n 20,62 --grid-max 1 --grid-step 0.25",
+    "figure1 --t 5 --n 20 --view density",
+    "figure2 --t 3 --max-n 12",
+    "hooks --t 3 --n 9",
+    "hooks --t 3 --n 9 --mode sample --samples 50",
+    "orbit --t 3 --nu 7,3,2",
+    "sample --n 12 --count 3",
+])
+def test_json_rows_stream_as_one_payload(capsys, argv):
+    code, out = run_capture(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [[], [[1, Fraction(1, 3), 0.1, True, "a\nb"]]])
+def test_emit_writes_json_dumps_bytes(rows):
+    out = io.StringIO()
+    _emit(out, "json", "x", ["a", "b"], iter(rows))
+    payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"],
+               "rows": [[_json_value(v) for v in row] for row in rows]}
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_parser_is_reused_across_calls(capsys):

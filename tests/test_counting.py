@@ -19,6 +19,7 @@ TABLES = {
     "c": counting.core_count_table,
     "d": counting.divisible_count_table,
     "C": counting.core_sum_table,
+    "S": counting.sigma_sum_table,
 }
 
 
@@ -31,6 +32,7 @@ def dense_oracle(kind, t):
         "c": oracles.core_counts_by_products,
         "d": oracles.divisible_counts_by_products,
         "C": oracles.core_sums_by_products,
+        "S": oracles.sigma_sums_by_divisors,
     }[kind]
     return build(t, ORACLE_N)
 
@@ -59,7 +61,7 @@ def test_p_1000_known_value():
     assert oracles.partition_counts_by_products(1000)[1000] == P_1000
 
 
-@pytest.mark.parametrize("kind", "pcdC")
+@pytest.mark.parametrize("kind", "pcdCS")
 def test_every_table_rejects_negative_max_n(kind):
     with pytest.raises(ValueError):
         TABLES[kind](3, -1)
@@ -67,7 +69,7 @@ def test_every_table_rejects_negative_max_n(kind):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from("pcdC"), st.integers(2, 11), st.integers(0, ORACLE_N)),
+    st.tuples(st.sampled_from("pcdCS"), st.integers(2, 11), st.integers(0, ORACLE_N)),
     min_size=1, max_size=8,
 ))
 def test_grown_tables_match_dense_oracles(requests):
@@ -77,6 +79,20 @@ def test_grown_tables_match_dense_oracles(requests):
         table = TABLES[kind](t, max_n)
         assert table.kind == kind and table.t == (None if kind == "p" else t)
         assert table.values == dense_oracle(kind, t)[:max_n + 1]
+
+
+def test_sigma_sums_grow_as_prefixes_and_rebuild():
+    counting.clear_tables()
+    counting.sigma_sum_table(3, 300)
+    grown = counting.sigma_sum_table(3, 700)
+    counting.clear_tables()
+    cold = counting.sigma_sum_table(3, 700)
+    assert grown == cold and cold.kind == "S" and cold.t == 3
+    assert cold.values[:ORACLE_N + 1] == dense_oracle("S", 3)
+    assert counting.sigma_sum_table(3, 300).values == cold.values[:301]
+    counting.clear_tables()
+    assert not counting._SIGMA_SUMS
+    assert counting.sigma_sum_table(3, 40).values == dense_oracle("S", 3)[:41]
 
 
 def test_threads_extend_one_store():

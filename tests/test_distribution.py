@@ -6,6 +6,7 @@ import pytest
 
 from tcores import distribution as dist
 from tcores.corequotient import core
+from tcores.hookstats import exact_residue_distribution
 from tcores.partitions import enumerate_partitions
 
 SQRT6_OVER_PI = math.sqrt(6.0) / math.pi
@@ -136,6 +137,20 @@ def test_expected_core_size_asymptote():
     ]
     for earlier, later in zip(ratios, ratios[1:]):
         assert abs(later - 1.0) < abs(earlier - 1.0) + 0.02
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_expected_core_size_three_routes(t):
+    # the sigma-series mean, the mean of the exact law, and n (1 - t pi_0(n))
+    # with pi_0 the exact hook law's residue 0
+    means = dist.expected_core_sizes(t, 1000)
+    assert len(means) == 1000
+    for n, (exact, asym) in enumerate(means, start=1):
+        pmf = dist.core_size_pmf(t, n)
+        assert exact == Fraction(sum(k * w for k, w in pmf.weights.items()), pmf.denominator)
+        assert (exact, asym) == dist.expected_core_size(t, n)
+        if n <= 400:
+            assert exact == n * (1 - t * exact_residue_distribution(t, n)[0])
 
 
 def test_scaled_pmf_points():

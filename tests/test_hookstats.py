@@ -6,6 +6,7 @@ import pytest
 
 from tcores import hookstats as hs
 from tcores.corequotient import core, decompose
+from tcores.counting import SERIES_MAX_N
 from tcores.oracles import (
     act_on_partition_via_shifts,
     residue_law_by_enumeration,
@@ -76,7 +77,7 @@ def test_exact_distribution_t3_n40():
 
 def test_exact_distribution_guards():
     with pytest.raises(ValueError, match="capped"):
-        hs.exact_residue_distribution(3, hs.EXACT_MAX_N + 1)
+        hs.exact_residue_distribution(3, SERIES_MAX_N + 1)
     with pytest.raises(ValueError):
         hs.exact_residue_distribution(3, 0)
 
