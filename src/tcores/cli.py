@@ -21,8 +21,7 @@ from typing import IO, Sequence
 
 from . import counting, distribution, hookstats, sampling, verify
 from .partitions import _require_t, make_partition
-
-SCHEMA_VERSION = 1
+from .verify import SCHEMA_VERSION
 
 # orbit lists all t! permutations: t = 7 takes seconds, t = 8 over half a minute
 ORBIT_MAX_T = 7

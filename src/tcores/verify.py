@@ -3,8 +3,11 @@ identity the library relies on, runnable from the CLI.
 
 Each case compares a production code path against an independent route
 (exhaustive enumeration, a second formula, or a closed form) and reports a
-CaseResult; a suite passes only if every case does.  max_n caps the
-exhaustive sweeps so the whole run stays interactive.
+CaseResult; a suite passes only if every case does.  Two cases have no
+independent route: `core_sum_difference` asserts C(n) - C(n - t) = c(n),
+the recurrence the C table is built from, and `abacus_roundtrip` checks the
+bit-word module against itself.  max_n caps the exhaustive sweeps so the
+whole run stays interactive.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
@@ -68,21 +71,39 @@ class VerificationReport:
             "master_seed": self.master_seed,
             "passed": self.passed,
             "elapsed_ms": self.elapsed_ms,
-            "cases": [
-                {
-                    "name": c.name,
-                    "params": c.params,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
         }
         return json.dumps(payload, indent=2)
 
 
 def _case(name, params, passed, detail="ok") -> CaseResult:
     return CaseResult(name, params, bool(passed), detail)
+
+
+# suite name -> its cases, in definition order
+_SUITES: dict[str, list] = {}
+
+
+def _check(suite: str, name: str):
+    """Register the case below in `suite` under `name`.  Its body returns the
+    params it passed at, `_fail(params, detail)` for the first failing
+    input, or (params, passed, detail) when it judges a trend."""
+    def register(body):
+        @functools.wraps(body)
+        def check(*args) -> CaseResult:
+            outcome = body(*args)
+            if isinstance(outcome, dict):
+                return _case(name, outcome, True)
+            return _case(name, *outcome)
+
+        _SUITES.setdefault(suite, []).append(check)
+        return check
+
+    return register
+
+
+def _fail(params: dict, detail: str) -> tuple[dict, bool, str]:
+    return params, False, detail
 
 
 # ---------------------------------------------------------------------------
@@ -114,30 +135,31 @@ def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
 # partitions
 
 
-def check_hook_multisets(max_n: int) -> CaseResult:
+@_check("partitions", "hook_multiset_conjugation")
+def check_hook_multisets(max_n: int):
     limit = min(max_n, 30)
     for n in range(limit + 1):
         for shape, hooks in zip(_shapes(n), _hooks(n)):
             hooks = sorted(hooks)
             if len(hooks) != n or hooks != sorted(hook_lengths(conjugate(shape))):
-                return _case("hook_multiset_conjugation", {"n": n}, False,
-                             f"failed at {shape.parts}")
-    return _case("hook_multiset_conjugation", {"max_n": limit}, True)
+                return _fail({"n": n}, f"failed at {shape.parts}")
+    return {"max_n": limit}
 
 
-def check_arm_leg_hook(max_n: int) -> CaseResult:
+@_check("partitions", "arm_leg_hook")
+def check_arm_leg_hook(max_n: int):
     limit = min(max_n, 14)
     for n in range(limit + 1):
         for shape in _shapes(n):
             for cell in shape.cells():
                 if (arm_length(shape, cell) + leg_length(shape, cell) + 1
                         != hook_length(shape, cell)):
-                    return _case("arm_leg_hook", {"n": n}, False,
-                                 f"failed at {shape.parts} {cell}")
-    return _case("arm_leg_hook", {"max_n": limit}, True)
+                    return _fail({"n": n}, f"failed at {shape.parts} {cell}")
+    return {"max_n": limit}
 
 
-def check_rim_hook_removal(max_n: int) -> CaseResult:
+@_check("partitions", "rim_hook_removal")
+def check_rim_hook_removal(max_n: int):
     limit = min(max_n, 14)
     for n in range(limit + 1):
         for shape in _shapes(n):
@@ -145,33 +167,33 @@ def check_rim_hook_removal(max_n: int) -> CaseResult:
                 h = hook_length(shape, cell)
                 smaller = remove_rim_hook(shape, cell)
                 if smaller.size != n - h:
-                    return _case("rim_hook_removal", {"n": n}, False,
-                                 f"bad size at {shape.parts} {cell}")
-    return _case("rim_hook_removal", {"max_n": limit}, True)
+                    return _fail({"n": n}, f"bad size at {shape.parts} {cell}")
+    return {"max_n": limit}
 
 
-def check_enumeration_count(max_n: int) -> CaseResult:
+@_check("partitions", "enumeration_count")
+def check_enumeration_count(max_n: int):
     limit = min(max_n, 40)
     table = counting.partition_count_table(limit)
     for n in range(limit + 1):
         if sum(1 for _ in enumerate_partitions(n)) != table[n]:
-            return _case("enumeration_count", {"n": n}, False, "count mismatch")
-    return _case("enumeration_count", {"max_n": limit}, True)
+            return _fail({"n": n}, "count mismatch")
+    return {"max_n": limit}
 
 
 # ---------------------------------------------------------------------------
 # abacus
 
 
-def check_pair_statistics(max_n: int) -> CaseResult:
+@_check("abacus", "abacus_pair_statistics")
+def check_pair_statistics(max_n: int):
     limit = min(max_n, 25)
     for n in range(limit + 1):
         for shape in _shapes(n):
             word = abacus.abacus_from_partition(shape)
             pairs = abacus.inversion_pairs(word)
             if len(pairs) != n:
-                return _case("abacus_pair_statistics", {"n": n}, False,
-                             f"pair count at {shape.parts}")
+                return _fail({"n": n}, f"pair count at {shape.parts}")
             stats = sorted(
                 (j - i,
                  sum(1 for k in range(i + 1, j) if word.bit(k) == 0),
@@ -183,13 +205,14 @@ def check_pair_statistics(max_n: int) -> CaseResult:
                 for c in shape.cells()
             )
             if stats != cells:
-                return _case("abacus_pair_statistics", {"n": n}, False,
-                             f"hook/arm/leg mismatch at {shape.parts}")
-    return _case("abacus_pair_statistics", {"max_n": limit}, True)
+                return _fail({"n": n}, f"hook/arm/leg mismatch at {shape.parts}")
+    return {"max_n": limit}
 
 
-def check_swap_is_rim_hook(max_n: int) -> CaseResult:
+@_check("abacus", "abacus_swap_rim_hook")
+def check_swap_is_rim_hook(max_n: int):
     limit = min(max_n, 20)
+    ts = [2, 3, 4, 5]
     for n in range(limit + 1):
         for shape in _shapes(n):
             word = abacus.abacus_from_partition(shape)
@@ -200,7 +223,7 @@ def check_swap_is_rim_hook(max_n: int) -> CaseResult:
                 for c in range(1, width + 1):
                     h = hook_length(shape, Cell(r, c))
                     beads[(j_pos - h, j_pos)] = Cell(r, c)
-            for t in (2, 3, 4, 5):
+            for t in ts:
                 lo = word.offset - 1
                 hi = word.offset + len(word.window)
                 for i in range(lo, hi + 1):
@@ -214,41 +237,38 @@ def check_swap_is_rim_hook(max_n: int) -> CaseResult:
                         )
                         expected = remove_rim_hook(shape, beads[(i, i + t)])
                         if swapped != expected:
-                            return _case(
-                                "abacus_swap_rim_hook", {"n": n, "t": t}, False,
-                                f"mismatch at {shape.parts} pair ({i},{i+t})")
-    return _case("abacus_swap_rim_hook", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+                            return _fail({"n": n, "t": t},
+                                         f"mismatch at {shape.parts} pair ({i},{i+t})")
+    return {"max_n": limit, "t": ts}
 
 
-def check_word_roundtrip(max_n: int) -> CaseResult:
+@_check("abacus", "abacus_roundtrip")
+def check_word_roundtrip(max_n: int):
     limit = min(max_n, 25)
     for n in range(limit + 1):
         for shape in _shapes(n):
             word = abacus.abacus_from_partition(shape)
             if abacus.partition_from_abacus(word) != shape:
-                return _case("abacus_roundtrip", {"n": n}, False,
-                             f"read-back failed for {shape.parts}")
+                return _fail({"n": n}, f"read-back failed for {shape.parts}")
             if abacus.abacus_from_partition(abacus.partition_from_abacus(word)) != word:
-                return _case("abacus_roundtrip", {"n": n}, False,
-                             f"identity failed for {shape.parts}")
+                return _fail({"n": n}, f"identity failed for {shape.parts}")
             for k in (-3, 1, 2):
                 if abacus.partition_from_abacus(abacus.shift(word, k)) != shape:
-                    return _case("abacus_roundtrip", {"n": n}, False,
-                                 f"shift invariance failed for {shape.parts}")
+                    return _fail({"n": n}, f"shift invariance failed for {shape.parts}")
             for t in (2, 3, 5):
                 if abacus.merge_runners(abacus.split_runners(word, t)) != word:
-                    return _case("abacus_roundtrip", {"n": n}, False,
-                                 f"split/merge failed for {shape.parts}")
-    return _case("abacus_roundtrip", {"max_n": limit}, True)
+                    return _fail({"n": n}, f"split/merge failed for {shape.parts}")
+    return {"max_n": limit}
 
 
 # ---------------------------------------------------------------------------
 # core / quotient
 
 
-def check_core_properties(max_n: int) -> CaseResult:
+@_check("corequotient", "core_properties")
+def check_core_properties(max_n: int):
     limit = min(max_n, 25)
-    ts = (2, 3, 4, 5, 6)
+    ts = [2, 3, 4, 5, 6]
     idempotent = set()  # (t, core) pairs already checked
     for n in range(limit + 1):
         cores = [_cores(n, t) for t in ts]
@@ -257,103 +277,104 @@ def check_core_properties(max_n: int) -> CaseResult:
                 rho = rhos[i]
                 if (t, rho) not in idempotent:
                     if core(rho, t) != rho:
-                        return _case("core_properties", {"n": n, "t": t}, False,
+                        return _fail({"n": n, "t": t},
                                      f"not idempotent at {shape.parts}")
                     idempotent.add((t, rho))
                 if rho.size % t != n % t:
-                    return _case("core_properties", {"n": n, "t": t}, False,
-                                 f"congruence fails at {shape.parts}")
+                    return _fail({"n": n, "t": t}, f"congruence fails at {shape.parts}")
                 hook_free = not any(h % t == 0 for h in hooks)
                 if is_core(shape, t) != hook_free or (rho == shape) != hook_free:
-                    return _case("core_properties", {"n": n, "t": t}, False,
+                    return _fail({"n": n, "t": t},
                                  f"hook criterion fails at {shape.parts}")
-    return _case("core_properties", {"max_n": limit, "t": [2, 3, 4, 5, 6]}, True)
+    return {"max_n": limit, "t": ts}
 
 
-def check_fixed_core_counts(max_n: int) -> CaseResult:
+@_check("corequotient", "fixed_core_counts")
+def check_fixed_core_counts(max_n: int):
     limit = min(max_n, 25)
-    for t in (2, 3, 4, 5):
+    ts = [2, 3, 4, 5]
+    for t in ts:
         cores_tab = counting.core_count_table(t, limit)
         divis_tab = counting.divisible_count_table(t, limit)
         for n in range(limit + 1):
             hist = Counter(rho.size for rho in _cores(n, t))
             for i in range(n + 1):
                 if hist.get(i, 0) != divis_tab[n - i] * cores_tab[i]:
-                    return _case("fixed_core_counts", {"n": n, "t": t, "i": i},
-                                 False, "product formula mismatch")
-    return _case("fixed_core_counts", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+                    return _fail({"n": n, "t": t, "i": i}, "product formula mismatch")
+    return {"max_n": limit, "t": ts}
 
 
-def check_division_bijection(max_n: int) -> CaseResult:
+@_check("corequotient", "division_bijection")
+def check_division_bijection(max_n: int):
     limit = min(max_n, 22)
-    for t in (2, 3, 4, 5):
+    ts = [2, 3, 4, 5]
+    for t in ts:
         for n in range(limit + 1):
             seen = set()
             for shape in _shapes(n):
                 dc = decompose(shape, t)
                 if dc.core.size + dc.divisible.size != n:
-                    return _case("division_bijection", {"n": n, "t": t}, False,
+                    return _fail({"n": n, "t": t},
                                  f"size identity fails at {shape.parts}")
                 if dc.divisible.size != t * sum(q.size for q in dc.quotient):
-                    return _case("division_bijection", {"n": n, "t": t}, False,
+                    return _fail({"n": n, "t": t},
                                  f"quotient size fails at {shape.parts}")
                 key = (dc.core, dc.divisible)
                 if key in seen:
-                    return _case("division_bijection", {"n": n, "t": t}, False,
-                                 f"not injective at {shape.parts}")
+                    return _fail({"n": n, "t": t}, f"not injective at {shape.parts}")
                 seen.add(key)
                 if compose(dc.core, dc.quotient, t) != shape:
-                    return _case("division_bijection", {"n": n, "t": t}, False,
-                                 f"round trip fails at {shape.parts}")
-    return _case("division_bijection", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+                    return _fail({"n": n, "t": t}, f"round trip fails at {shape.parts}")
+    return {"max_n": limit, "t": ts}
 
 
-def check_strip_oracle(max_n: int) -> CaseResult:
+@_check("corequotient", "greedy_strip_oracle")
+def check_strip_oracle(max_n: int):
     limit = min(max_n, 16)
+    ts = [2, 3, 4, 5]
     for n in range(limit + 1):
         for i, shape in enumerate(_shapes(n)):
-            for t in (2, 3, 4, 5):
+            for t in ts:
                 if _cores(n, t)[i] != oracles.core_by_rim_stripping(shape, t):
-                    return _case("greedy_strip_oracle", {"n": n, "t": t}, False,
-                                 f"mismatch at {shape.parts}")
-    return _case("greedy_strip_oracle", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+                    return _fail({"n": n, "t": t}, f"mismatch at {shape.parts}")
+    return {"max_n": limit, "t": ts}
 
 
 # ---------------------------------------------------------------------------
 # counting
 
 
-def check_triple_oracle(max_n: int) -> CaseResult:
+@_check("counting", "triple_oracle")
+def check_triple_oracle(max_n: int):
     gf_limit = max(min(max_n * 2, 60), 30)
     enum_limit = min(max_n, 30)
     for t in (2, 3, 4, 5, 6):
         table = counting.core_count_table(t, gf_limit)
         lattice = oracles.lattice_core_histogram(t, gf_limit)
         if tuple(table.values) != lattice:
-            return _case("triple_oracle", {"t": t}, False,
-                         "series vs lattice mismatch")
+            return _fail({"t": t}, "series vs lattice mismatch")
         for n in range(enum_limit + 1):
             brute = sum(1 for hooks in _hooks(n) if not any(h % t == 0 for h in hooks))
             if brute != table[n]:
-                return _case("triple_oracle", {"t": t, "n": n}, False,
-                             "series vs enumeration mismatch")
-    return _case("triple_oracle",
-                 {"series_max_n": gf_limit, "enum_max_n": enum_limit}, True)
+                return _fail({"t": t, "n": n}, "series vs enumeration mismatch")
+    return {"series_max_n": gf_limit, "enum_max_n": enum_limit}
 
 
-def check_core_sum_census(max_n: int) -> CaseResult:
+@_check("counting", "core_sum_census")
+def check_core_sum_census(max_n: int):
     limit = min(max_n, 30)
-    for t in (2, 3, 4, 5):
+    ts = [2, 3, 4, 5]
+    for t in ts:
         table = counting.core_sum_table(t, limit)
         for n in range(limit + 1):
             distinct = set(_cores(n, t))
             if len(distinct) != table[n]:
-                return _case("core_sum_census", {"t": t, "n": n}, False,
-                             "distinct-core census mismatch")
-    return _case("core_sum_census", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+                return _fail({"t": t, "n": n}, "distinct-core census mismatch")
+    return {"max_n": limit, "t": ts}
 
 
-def check_core_sum_difference(max_n: int) -> CaseResult:
+@_check("counting", "core_sum_difference")
+def check_core_sum_difference(max_n: int):
     limit = max(max_n, 200)
     for t in (2, 3, 4, 5, 6):
         c = counting.core_count_table(t, limit)
@@ -361,169 +382,175 @@ def check_core_sum_difference(max_n: int) -> CaseResult:
         for n in range(limit + 1):
             prev = big[n - t] if n >= t else 0
             if c[n] != big[n] - prev:
-                return _case("core_sum_difference", {"t": t, "n": n}, False,
-                             "difference identity fails")
-    return _case("core_sum_difference", {"max_n": limit}, True)
+                return _fail({"t": t, "n": n}, "difference identity fails")
+    return {"max_n": limit}
 
 
-def check_growth_ratio(max_n: int) -> CaseResult:
+@_check("counting", "growth_ratio")
+def check_growth_ratio(max_n: int):
     # observed maxima are 2^(1/2) at t=3 and exactly 1 at t=4,5
-    for t in (3, 4, 5):
-        c = counting.core_count_table(t, 1600)
-        for horizon in (100, 400, 1600):
+    ts = [3, 4, 5]
+    horizons = [100, 400, 1600]
+    for t in ts:
+        c = counting.core_count_table(t, horizons[-1])
+        for horizon in horizons:
             peak = max(c[n] / n ** ((t - 2) / 2) for n in range(1, horizon + 1))
             if peak > 1.5:
-                return _case("growth_ratio", {"t": t, "N": horizon}, False,
-                             f"ratio {peak:.3f} exceeds bound")
-    return _case("growth_ratio", {"t": [3, 4, 5], "N": [100, 400, 1600]}, True)
+                return _fail({"t": t, "N": horizon}, f"ratio {peak:.3f} exceeds bound")
+    return {"t": ts, "N": horizons}
 
 
-def check_justification_form(max_n: int) -> CaseResult:
+@_check("counting", "justification_form")
+def check_justification_form(max_n: int):
     limit = min(max_n, 30)
+    ts = [2, 3, 4, 5]
     for n in range(limit + 1):
-        for t in (2, 3, 4, 5):
+        for t in ts:
             for shape, hooks in zip(_shapes(n), _hooks(n)):
                 if any(h % t == 0 for h in hooks):
                     continue
                 vec = justification_vector(shape, t)
                 if sum(vec) != 0 or counting.f_t(vec, t) != n:
-                    return _case("justification_form", {"n": n, "t": t}, False,
-                                 f"form value wrong at {shape.parts}")
-    return _case("justification_form", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+                    return _fail({"n": n, "t": t}, f"form value wrong at {shape.parts}")
+    return {"max_n": limit, "t": ts}
 
 
-def check_mod_counts(max_n: int) -> CaseResult:
-    for t in (2, 3, 4, 5):
+@_check("counting", "mod_solution_counts")
+def check_mod_counts(max_n: int):
+    ts = [2, 3, 4, 5]
+    for t in ts:
         for residue in range(t):
             got = oracles.mod_solution_count(t, residue)
             if got != t ** (t - 2):
-                return _case("mod_solution_counts", {"t": t, "residue": residue},
-                             False, f"got {got}, want {t ** (t - 2)}")
-    return _case("mod_solution_counts", {"t": [2, 3, 4, 5]}, True)
+                return _fail({"t": t, "residue": residue},
+                             f"got {got}, want {t ** (t - 2)}")
+    return {"t": ts}
 
 
-def check_divisor_oracle(max_n: int) -> CaseResult:
+@_check("counting", "c3_divisor_oracle")
+def check_divisor_oracle(max_n: int):
     limit = max(max_n, 200)
     table = counting.core_count_table(3, limit)
     for n in range(limit + 1):
         if oracles.c3_divisor_oracle(n) != table[n]:
-            return _case("c3_divisor_oracle", {"n": n}, False, "mismatch")
-    return _case("c3_divisor_oracle", {"max_n": limit}, True)
+            return _fail({"n": n}, "mismatch")
+    return {"max_n": limit}
 
 
-def check_volume_identities(max_n: int) -> CaseResult:
-    for t in range(2, 9):
+@_check("counting", "volume_identities")
+def check_volume_identities(max_n: int):
+    ts = range(2, 9)
+    for t in ts:
         cov = oracles.lattice_covolume(t)
         if abs(cov - math.sqrt(t)) > 1e-12:
-            return _case("volume_identities", {"t": t}, False, "covolume wrong")
+            return _fail({"t": t}, "covolume wrong")
         lead = counting.core_sum_leading_term(t, 50)
         alt = oracles.ball_volume(t, 50) / t ** 1.5
         if abs(lead - alt) > 1e-12 * max(1.0, abs(lead)):
-            return _case("volume_identities", {"t": t}, False,
-                         "leading term vs ball volume mismatch")
+            return _fail({"t": t}, "leading term vs ball volume mismatch")
     v2 = oracles.ball_volume(2, 10)
     if abs(v2 - 2.0 * math.sqrt(10 + 0.125)) > 1e-12:
-        return _case("volume_identities", {"t": 2}, False, "V_2 closed form")
+        return _fail({"t": 2}, "V_2 closed form")
     p100 = counting.partition_count_table(100)[100]
     est = counting.asymptotic_estimates(3, 100).partition_leading
     if abs(est - p100) / p100 > 0.05:
-        return _case("volume_identities", {"n": 100}, False,
-                     "partition estimate off by more than 5%")
-    return _case("volume_identities", {"t": "2..8"}, True)
+        return _fail({"n": 100}, "partition estimate off by more than 5%")
+    return {"t": f"{ts[0]}..{ts[-1]}"}
 
 
 # ---------------------------------------------------------------------------
 # distribution
 
 
-def check_pmf_exhaustive(max_n: int) -> CaseResult:
+@_check("distribution", "pmf_exhaustive")
+def check_pmf_exhaustive(max_n: int):
     limit = min(max_n, 22)
-    for t in (2, 3, 4, 5):
+    ts = [2, 3, 4, 5]
+    for t in ts:
         for n in range(limit + 1):
             pmf = distribution.core_size_pmf(t, n)
             if pmf.total() != 1:
-                return _case("pmf_exhaustive", {"t": t, "n": n}, False,
-                             "masses do not sum to 1")
+                return _fail({"t": t, "n": n}, "masses do not sum to 1")
             hist = Counter(rho.size for rho in _cores(n, t))
             total = sum(hist.values())
             for k in set(hist) | set(pmf.masses):
                 if pmf.masses.get(k, Fraction(0)) != Fraction(hist.get(k, 0), total):
-                    return _case("pmf_exhaustive", {"t": t, "n": n, "k": k},
-                                 False, "mass mismatch")
-    return _case("pmf_exhaustive", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+                    return _fail({"t": t, "n": n, "k": k}, "mass mismatch")
+    return {"max_n": limit, "t": ts}
 
 
-def check_gamma_function(max_n: int) -> CaseResult:
+@_check("distribution", "gamma_function")
+def check_gamma_function(max_n: int):
     beta = math.pi / math.sqrt(6.0)
     for x in (0.25, 0.5, 1.0, 2.0, 5.0, 12.0):
         g = distribution.gamma_cdf(distribution.GammaParams(1.0, beta), x)
         if abs(g - (1.0 - math.exp(-beta * x))) > 1e-10:
-            return _case("gamma_function", {"alpha": 1, "x": x}, False,
-                         "exponential closed form")
+            return _fail({"alpha": 1, "x": x}, "exponential closed form")
         g = distribution.gamma_cdf(distribution.GammaParams(0.5, 1.0), x)
         if abs(g - math.erf(math.sqrt(x))) > 1e-10:
-            return _case("gamma_function", {"alpha": 0.5, "x": x}, False,
-                         "error-function closed form")
+            return _fail({"alpha": 0.5, "x": x}, "error-function closed form")
     params = distribution.gamma_params(5)
     for k in range(6):
         lhs = distribution.gamma_moment(params, k + 1)
         rhs = distribution.gamma_moment(params, k) * (k + params.alpha) / params.beta
         if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-            return _case("gamma_function", {"k": k}, False, "moment recurrence")
-    return _case("gamma_function", {}, True)
+            return _fail({"k": k}, "moment recurrence")
+    return {}
 
 
-def check_distance_trend(max_n: int) -> CaseResult:
+@_check("distribution", "distance_trend")
+def check_distance_trend(max_n: int):
+    ns = [20, 62, 103]
     params = distribution.gamma_params(5)
     dists = [
         distribution.cdf_sup_distance(distribution.core_size_pmf(5, n), params)
-        for n in (20, 62, 103)
+        for n in ns
     ]
     ok = dists[0] > dists[1] > dists[2]
-    return _case("distance_trend", {"t": 5, "n": [20, 62, 103]}, ok,
-                 "distances " + ", ".join(f"{d:.6f}" for d in dists))
+    return ({"t": 5, "n": ns}, ok,
+            "distances " + ", ".join(f"{d:.6f}" for d in dists))
 
 
-def check_expectation_trend(max_n: int) -> CaseResult:
+@_check("distribution", "expectation_trend")
+def check_expectation_trend(max_n: int):
     exact100, asym100 = distribution.expected_core_size(3, 100)
     if abs(float(exact100) - asym100) / asym100 > 0.15:
-        return _case("expectation_trend", {"n": 100}, False,
-                     "exact mean beyond 15% of asymptote")
+        return _fail({"n": 100}, "exact mean beyond 15% of asymptote")
+    ns = [25, 50, 100]
     ratios = []
-    for n in (25, 50, 100):
+    for n in ns:
         exact, asym = distribution.expected_core_size(3, n)
         ratios.append(float(exact) / asym)
     ok = all(
         abs(ratios[i + 1] - 1.0) < abs(ratios[i] - 1.0) + 0.02
         for i in range(len(ratios) - 1)
     )
-    return _case("expectation_trend", {"t": 3, "n": [25, 50, 100]}, ok,
-                 "ratios " + ", ".join(f"{r:.5f}" for r in ratios))
+    return ({"t": 3, "n": ns}, ok,
+            "ratios " + ", ".join(f"{r:.5f}" for r in ratios))
 
 
-def check_moment_trend(max_n: int) -> CaseResult:
+@_check("distribution", "moment_trend")
+def check_moment_trend(max_n: int):
+    ks = [1, 2, 3]
     params = distribution.gamma_params(3)
-    for k in (1, 2, 3):
-        diffs = [
-            abs(
-                distribution.scaled_moment(distribution.core_size_pmf(3, n), k)
-                - distribution.gamma_moment(params, k)
-            )
-            for n in (100, 400, 1600)
-        ]
+    pmfs = [distribution.core_size_pmf(3, n) for n in (100, 400, 1600)]
+    for k in ks:
+        target = distribution.gamma_moment(params, k)
+        diffs = [abs(distribution.scaled_moment(pmf, k) - target) for pmf in pmfs]
         if not (diffs[0] > diffs[1] > diffs[2]):
-            return _case("moment_trend", {"t": 3, "k": k}, False,
+            return _fail({"t": 3, "k": k},
                          "differences " + ", ".join(f"{d:.6f}" for d in diffs))
-    return _case("moment_trend", {"t": 3, "k": [1, 2, 3]}, True)
+    return {"t": 3, "k": ks}
 
 
 # ---------------------------------------------------------------------------
 # hook statistics
 
 
-def check_residue_identities(max_n: int) -> CaseResult:
+@_check("hookstats", "residue_identities")
+def check_residue_identities(max_n: int):
     limit = min(max_n, 22)
-    ts = (2, 3, 4, 5, 6)
+    ts = [2, 3, 4, 5, 6]
     for n in range(limit + 1):
         cores = [_cores(n, t) for t in ts]
         for i, shape in enumerate(_shapes(n)):
@@ -533,25 +560,23 @@ def check_residue_identities(max_n: int) -> CaseResult:
                 core_counts = hookstats.residue_census(rho, t).counts
                 moved = (n - rho.size) // t
                 if counts[0] != moved:
-                    return _case("residue_identities", {"n": n, "t": t}, False,
-                                 f"residue-0 count at {shape.parts}")
+                    return _fail({"n": n, "t": t}, f"residue-0 count at {shape.parts}")
                 for r in range(1, t):
                     if 2 * r == t:
                         if counts[r] != moved + core_counts[r]:
-                            return _case("residue_identities",
-                                         {"n": n, "t": t, "r": r}, False,
+                            return _fail({"n": n, "t": t, "r": r},
                                          f"half-class count at {shape.parts}")
                     elif counts[r] + counts[t - r] != (
                         2 * moved + core_counts[r] + core_counts[t - r]
                     ):
-                        return _case("residue_identities",
-                                     {"n": n, "t": t, "r": r}, False,
+                        return _fail({"n": n, "t": t, "r": r},
                                      f"pair-class count at {shape.parts}")
-    return _case("residue_identities", {"max_n": limit, "t": [2, 3, 4, 5, 6]}, True)
+    return {"max_n": limit, "t": ts}
 
 
-def check_orbit_table(max_n: int) -> CaseResult:
-    nu = make_partition([7, 3, 2])
+@_check("hookstats", "orbit_table")
+def check_orbit_table(max_n: int):
+    nu, t = make_partition([7, 3, 2]), 3
     expected_rows = {
         "123": (7, 3, 2),
         "132": (7, 4, 1),
@@ -563,19 +588,18 @@ def check_orbit_table(max_n: int) -> CaseResult:
     expected_smoothings = {0: (7, 2), 1: (4,), 2: (2,)}
     for word, parts in expected_rows.items():
         sigma = hookstats.permutation_from_word(word)
-        image = hookstats.act_on_divisible(sigma, nu, 3)
+        image = hookstats.act_on_divisible(sigma, nu, t)
         if image.parts != parts:
-            return _case("orbit_table", {"word": word}, False,
-                         f"image {image.parts}, want {parts}")
+            return _fail({"word": word}, f"image {image.parts}, want {parts}")
         for b, cells in expected_smoothings.items():
-            got = hookstats.b_smoothing(image, 3, b).cells.parts
+            got = hookstats.b_smoothing(image, t, b).cells.parts
             if got != cells:
-                return _case("orbit_table", {"word": word, "b": b}, False,
-                             f"smoothing {got}, want {cells}")
-    return _case("orbit_table", {"nu": [7, 3, 2], "t": 3}, True)
+                return _fail({"word": word, "b": b}, f"smoothing {got}, want {cells}")
+    return {"nu": list(nu.parts), "t": t}
 
 
-def check_orbit_equidistribution(max_n: int) -> CaseResult:
+@_check("hookstats", "orbit_equidistribution")
+def check_orbit_equidistribution(max_n: int):
     limit = min(max_n, 24)
     t = 3
     for m in range(0, limit + 1, t):
@@ -598,56 +622,59 @@ def check_orbit_equidistribution(max_n: int) -> CaseResult:
                         totals[hook_length(member, cell) % t] += 1
                 nonzero = totals[1:]
                 if any(x != nonzero[0] for x in nonzero):
-                    return _case("orbit_equidistribution",
-                                 {"m": m, "b": b, "orbit_of": nu.parts}, False,
+                    return _fail({"m": m, "b": b, "orbit_of": nu.parts},
                                  f"totals {totals}")
                 if empty_everywhere:
                     break
-    return _case("orbit_equidistribution", {"max_size": limit, "t": t}, True)
+    return {"max_size": limit, "t": t}
 
 
-def check_action_properties(max_n: int) -> CaseResult:
+@_check("hookstats", "action_properties")
+def check_action_properties(max_n: int):
     limit = min(max_n, 14)
+    ts = [2, 3]
     for n in range(limit + 1):
         for i, shape in enumerate(_shapes(n)):
-            for t in (2, 3):
+            for t in ts:
                 ident = tuple(range(t))
                 if hookstats.act_on_partition(ident, shape, t) != shape:
-                    return _case("action_properties", {"n": n, "t": t}, False,
-                                 f"identity fails at {shape.parts}")
+                    return _fail({"n": n, "t": t}, f"identity fails at {shape.parts}")
                 rho = _cores(n, t)[i]
                 for sigma in permutations(range(t)):
                     image = hookstats.act_on_partition(sigma, shape, t)
                     if image.size != n or core(image, t) != rho:
-                        return _case("action_properties", {"n": n, "t": t}, False,
+                        return _fail({"n": n, "t": t},
                                      f"size/core not preserved at {shape.parts}")
                     if image != oracles.act_on_partition_via_shifts(
                         sigma, shape, t
                     ):
-                        return _case("action_properties", {"n": n, "t": t}, False,
+                        return _fail({"n": n, "t": t},
                                      f"shift route disagrees at {shape.parts}")
-    return _case("action_properties", {"max_n": limit, "t": [2, 3]}, True)
+    return {"max_n": limit, "t": ts}
 
 
-def check_smoothing_bounds(max_n: int) -> CaseResult:
+@_check("hookstats", "smoothing_bounds")
+def check_smoothing_bounds(max_n: int):
     limit = min(max_n, 20)
+    ts = [2, 3, 4, 5]
     for n in range(limit + 1):
         for shape in _shapes(n):
-            for t in (2, 3, 4, 5):
+            for t in ts:
                 dc = decompose(shape, t)
                 b, cells = hookstats.canonical_smoothing(shape, t)
                 if b > 2.0 * math.sqrt(dc.core.size) + 1e-12:
-                    return _case("smoothing_bounds", {"n": n, "t": t}, False,
+                    return _fail({"n": n, "t": t},
                                  f"spread bound fails at {shape.parts}")
                 uncovered = dc.divisible.size - cells.size
                 small = hookstats.small_hook_count(dc.divisible, t * (b + 1))
                 if uncovered > small:
-                    return _case("smoothing_bounds", {"n": n, "t": t}, False,
+                    return _fail({"n": n, "t": t},
                                  f"coverage bound fails at {shape.parts}")
-    return _case("smoothing_bounds", {"max_n": limit, "t": [2, 3, 4, 5]}, True)
+    return {"max_n": limit, "t": ts}
 
 
-def check_small_hook_bound(max_n: int) -> CaseResult:
+@_check("hookstats", "small_hook_bound")
+def check_small_hook_bound(max_n: int):
     limit = min(max_n, 30)
     for n in range(1, limit + 1):
         root = math.sqrt(2.0 * n)
@@ -658,150 +685,98 @@ def check_small_hook_bound(max_n: int) -> CaseResult:
                 while below < len(hooks) and hooks[below] < m:
                     below += 1
                 if not below < m * root:
-                    return _case("small_hook_bound", {"n": n, "m": m}, False,
-                                 f"bound fails at {shape.parts}")
-    return _case("small_hook_bound", {"max_n": limit}, True)
+                    return _fail({"n": n, "m": m}, f"bound fails at {shape.parts}")
+    return {"max_n": limit}
 
 
-def check_phi_injection(max_n: int) -> CaseResult:
+@_check("hookstats", "phi_injection")
+def check_phi_injection(max_n: int):
     limit = min(max_n, 18)
+    ts = [2, 3, 4]
     for n in range(limit + 1):
         for shape in _shapes(n):
-            for t in (2, 3, 4):
+            for t in ts:
                 dc = decompose(shape, t)
                 mapping = hookstats.phi_map(shape, t)
                 if len(set(mapping.values())) != len(mapping):
-                    return _case("phi_injection", {"n": n, "t": t}, False,
-                                 f"not injective at {shape.parts}")
+                    return _fail({"n": n, "t": t}, f"not injective at {shape.parts}")
                 for src, dst in mapping.items():
                     if (hook_length(dc.divisible, src) % t
                             != hook_length(shape, dst) % t):
-                        return _case("phi_injection", {"n": n, "t": t}, False,
+                        return _fail({"n": n, "t": t},
                                      f"residue broken at {shape.parts} {src}")
-    return _case("phi_injection", {"max_n": limit, "t": [2, 3, 4]}, True)
+    return {"max_n": limit, "t": ts}
 
 
-def check_residue_trend(max_n: int) -> CaseResult:
+@_check("hookstats", "residue_trend")
+def check_residue_trend(max_n: int):
     points = [n for n in (10, 20, 40) if n <= max(max_n, 20)]
     devs = []
     for n in points:
         xs = hookstats.exact_residue_distribution(3, n)
         if sum(xs) != 1:
-            return _case("residue_trend", {"n": n}, False, "not normalized")
+            return _fail({"n": n}, "not normalized")
         devs.append(max(abs(x - Fraction(1, 3)) for x in xs))
     ok = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
     if 40 in points:
         ok = ok and devs[-1] < Fraction(8, 100)
-    return _case("residue_trend", {"t": 3, "n": points}, ok,
-                 "max deviations " + ", ".join(f"{float(d):.5f}" for d in devs))
+    return ({"t": 3, "n": points}, ok,
+            "max deviations " + ", ".join(f"{float(d):.5f}" for d in devs))
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def check_sampler_table(max_n: int) -> CaseResult:
+@_check("sampling", "sampler_table")
+def check_sampler_table(max_n: int):
     limit = min(max(max_n, 40), 100)
     table = sampling.build_sampler(limit)
     p = counting.partition_count_table(limit)
     for m in range(limit + 1):
         if table.count(m, m) != p[m]:
-            return _case("sampler_table", {"m": m}, False, "row total wrong")
+            return _fail({"m": m}, "row total wrong")
         # cells past m/2 are derived from sums of p, so the recurrence
         # crosses the stored and the derived half of each row
         for k in range(1, m + 1):
             if table.count(m, k) != table.count(m, k - 1) + table.count(m - k, k):
-                return _case("sampler_table", {"m": m, "k": k}, False,
-                             "recurrence fails")
-    return _case("sampler_table", {"max_n": limit}, True)
+                return _fail({"m": m, "k": k}, "recurrence fails")
+    return {"max_n": limit}
 
 
-def check_unrank_bijection(max_n: int) -> CaseResult:
-    for n in range(11):
+@_check("sampling", "unrank_bijection")
+def check_unrank_bijection(max_n: int):
+    limit = 10
+    for n in range(limit + 1):
         table = sampling.build_sampler(n)
         seen = {sampling.unrank_partition(table, r) for r in range(table.total)}
-        expected = set(_shapes(n))
-        if seen != expected:
-            return _case("unrank_bijection", {"n": n}, False,
-                         "rank map is not a bijection")
-    return _case("unrank_bijection", {"max_n": 10}, True)
+        if seen != set(_shapes(n)):
+            return _fail({"n": n}, "rank map is not a bijection")
+    return {"max_n": limit}
 
 
-def check_sampler_frequencies(max_n: int, seed: int, samples: int) -> CaseResult:
-    table = sampling.build_sampler(8)
+@_check("sampling", "sampler_frequencies")
+def check_sampler_frequencies(max_n: int, seed: int, samples: int):
+    n = 8
+    table = sampling.build_sampler(n)
     counts = Counter(
         sampling.sample_partition(table, seed, i) for i in range(samples)
     )
     worst = max(
         abs(counts.get(shape, 0) / samples - 1.0 / table.total)
-        for shape in _shapes(8)
+        for shape in _shapes(n)
     )
     rerun = Counter(
         sampling.sample_partition(table, seed, i) for i in range(samples)
     )
     if rerun != counts:
-        return _case("sampler_frequencies", {"seed": seed}, False,
-                     "rerun differs under fixed seed")
-    return _case("sampler_frequencies",
-                 {"n": 8, "samples": samples, "seed": seed},
-                 worst < 0.01, f"max frequency deviation {worst:.5f}")
+        return _fail({"seed": seed}, "rerun differs under fixed seed")
+    return ({"n": n, "samples": samples, "seed": seed},
+            worst < 0.01, f"max frequency deviation {worst:.5f}")
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-
-_SUITES = {
-    "partitions": [
-        check_hook_multisets,
-        check_arm_leg_hook,
-        check_rim_hook_removal,
-        check_enumeration_count,
-    ],
-    "abacus": [
-        check_pair_statistics,
-        check_swap_is_rim_hook,
-        check_word_roundtrip,
-    ],
-    "corequotient": [
-        check_core_properties,
-        check_fixed_core_counts,
-        check_division_bijection,
-        check_strip_oracle,
-    ],
-    "counting": [
-        check_triple_oracle,
-        check_core_sum_census,
-        check_core_sum_difference,
-        check_growth_ratio,
-        check_justification_form,
-        check_mod_counts,
-        check_divisor_oracle,
-        check_volume_identities,
-    ],
-    "distribution": [
-        check_pmf_exhaustive,
-        check_gamma_function,
-        check_distance_trend,
-        check_expectation_trend,
-        check_moment_trend,
-    ],
-    "hookstats": [
-        check_residue_identities,
-        check_orbit_table,
-        check_orbit_equidistribution,
-        check_action_properties,
-        check_smoothing_bounds,
-        check_small_hook_bound,
-        check_phi_injection,
-        check_residue_trend,
-    ],
-    "sampling": [
-        check_sampler_table,
-        check_unrank_bijection,
-        check_sampler_frequencies,
-    ],
-}
+# running
 
 
 def suite_names() -> list[str]:
@@ -819,6 +794,8 @@ def run_suite(
         checks = _SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
+    if max_n < 0:
+        raise ValueError(f"verify needs max_n >= 0; got max_n={max_n}")
     if max_n > counting.SERIES_MAX_N:
         raise ValueError(f"verify is capped at max_n={counting.SERIES_MAX_N} "
                          f"(the counting series cap); got max_n={max_n}")

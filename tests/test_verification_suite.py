@@ -1,8 +1,10 @@
 """The library verification suite: the full-scale report (the shared
 `full_report` fixture) and the suite's error paths."""
+import argparse
+
 import pytest
 
-from tcores import counting, verify
+from tcores import cli, counting, verify
 
 
 def test_all_suites_pass_at_full_scale(full_report):
@@ -37,9 +39,25 @@ def test_max_n_above_series_cap_is_refused_before_any_case(monkeypatch):
         verify.run_suite("all", max_n=counting.SERIES_MAX_N + 1)
     with pytest.raises(ValueError):
         verify.run_suite("recording", max_n=counting.SERIES_MAX_N + 1)
+    for suite in ("all", "recording"):
+        with pytest.raises(ValueError, match="max_n >= 0"):
+            verify.run_suite(suite, max_n=-1)
     assert ran == []
     assert verify.run_suite("recording", max_n=3).passed
     assert ran == [3]
+
+
+def test_every_check_is_registered_once_in_definition_order():
+    checks = [fn for name, fn in vars(verify).items() if name.startswith("check_")]
+    assert [fn for fns in verify._SUITES.values() for fn in fns] == checks
+    suites = ["partitions", "abacus", "corequotient", "counting", "distribution",
+              "hookstats", "sampling", "all"]
+    assert verify.suite_names() == suites
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    suite_flag = next(action for action in commands.choices["verify"]._actions
+                      if action.dest == "suite")
+    assert list(suite_flag.choices) == suites
 
 
 def test_small_hook_bound_reports_a_failing_shape(monkeypatch):
