@@ -3,8 +3,9 @@ running sums, the divisor-weighted sums behind the expected core size, the
 quadratic form behind core sizes, and leading-order estimates.
 
 The five integer series share one engine built on the sparse Euler factor
-prod (1 - x^k) (see below).  Each series is kept as one growing list per
-(kind, t); a request extends it from where it stopped and is served as a
+E(x) = prod (1 - x^k) (see below).  Each power E^j and 1/E^j is kept once,
+for every t, and each series as one list per (kind, t); all of them only
+grow, so a request extends them from where they stopped and is served as a
 prefix, under one module lock.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .partitions import _require_t
@@ -53,37 +55,32 @@ class SeriesTable:
 # Euler's pentagonal theorem makes E(x) = prod_{k>=1} (1 - x^k) sparse:
 # E(x) = sum over all integers k of (-1)^k x^{k(3k-1)/2}.  With P = 1/E:
 #   p    = P, by the pentagonal recurrence (one sparse division),
-#   c_t  = P * E(x^t)^t (Garvan-Kim-Stanton): E^t by t-1 sparse products on
-#          the grid m = n/t, then one sparse division by E(x), so every
-#          intermediate coefficient stays a small integer,
-#   d_t  = P(x^t)^t, so d_t(t*m) = [x^m] P^t: t-1 sparse divisions of P by E,
+#   c_t  = P * E(x^t)^t (Garvan-Kim-Stanton): E^t on the grid m = n/t, then
+#          one sparse division by E(x), so every intermediate coefficient
+#          stays a small integer,
+#   d_t  = P(x^t)^t, so d_t(t*m) = [x^m] P^t,
 #   C_t(n) = C_t(n-t) + c_t(n),
 #   S_t  = P * (-y E'(y)) / E(y) with y = x^t, since sum_j sigma(j) y^j is
 #          -y E'(y) / E(y); so E(x^t) * S = P * (-y E'(y)), and each new
 #          coefficient is one sparse pass over the pentagonal terms g <= n/t:
 #          S(n) = -sum_g sign_g * (g * p(n - tg) + S(n - tg)).
-# Every stage is a list grown in place, so a longer request resumes where the
-# last one stopped and a shorter one is served as a prefix.
+# The powers E^j and P^j do not depend on t, so each is kept once and shared
+# by every t: E^{j+1} is one sparse product of E^j by E, P^{j+1} one sparse
+# division of P^j by E.  Every list grows in place, so a longer request
+# resumes where the last one stopped and a shorter one is served as a prefix.
 
 _LOCK = threading.Lock()
-_E: list[int] = []                                  # E(x), densely
-_P: list[int] = [1]
-_EULER_POWERS: dict[int, list[list[int]]] = {}      # t -> E^j, j = 2..t, at m = n/t
-_CORES: dict[int, list[int]] = {}
-_QUOTIENT_STAGES: dict[int, list[list[int]]] = {}   # t -> P^j, j = 2..t, at m = n/t
-_DIVISIBLE: dict[int, list[int]] = {}
-_CORE_SUMS: dict[int, list[int]] = {}
-_SIGMA_SUMS: dict[int, list[int]] = {}
+_E_POWERS: list[list[int]] = []               # E^j at index j - 1
+_P_POWERS: list[list[int]] = []               # P^j = E^-j at index j - 1
+_SERIES: dict[tuple[str, int], list[int]] = {}  # (kind, t) -> c, d, C or S
 
 
 def clear_tables() -> None:
     """Drop every grown series; the next request rebuilds from scratch."""
     with _LOCK:
-        _E.clear()
-        del _P[1:]
-        for store in (_EULER_POWERS, _CORES, _QUOTIENT_STAGES, _DIVISIBLE, _CORE_SUMS,
-                      _SIGMA_SUMS):
-            store.clear()
+        _E_POWERS.clear()
+        _P_POWERS.clear()
+        _SERIES.clear()
 
 
 def _pentagonal_terms(limit: int) -> list[tuple[int, int]]:
@@ -100,13 +97,6 @@ def _pentagonal_terms(limit: int) -> list[tuple[int, int]]:
         if g + k <= limit:
             terms.append((g + k, sign))
         k += 1
-
-
-def _euler_store(hi: int) -> list[int]:
-    if len(_E) <= hi:
-        coefficients = {0: 1, **dict(_pentagonal_terms(hi))}
-        _E.extend(coefficients.get(n, 0) for n in range(len(_E), hi + 1))
-    return _E
 
 
 def _multiply_grow(out: list[int], src: list[int], hi: int) -> None:
@@ -126,6 +116,8 @@ def _multiply_grow(out: list[int], src: list[int], hi: int) -> None:
 def _divide_grow(q: list[int], src: list[int] | None, hi: int, step: int = 1) -> None:
     """Extend q = src(x^step) / E(x) through index hi; src None is the zero
     series, for a q seeded with its leading terms."""
+    if len(q) > hi:
+        return
     terms = _pentagonal_terms(hi)
     for m in range(len(q), hi + 1):
         total = src[m // step] if src is not None and m % step == 0 else 0
@@ -139,35 +131,41 @@ def _divide_grow(q: list[int], src: list[int] | None, hi: int, step: int = 1) ->
         q.append(total)
 
 
-def _partition_store(hi: int) -> list[int]:
-    _divide_grow(_P, None, hi)
-    return _P
+def _power(j: int, hi: int) -> list[int]:
+    """E^j through index hi for j != 0, so P^-j for j < 0; grows the powers
+    of the same sign from 1 up to |j|, each from the one before."""
+    powers = _E_POWERS if j > 0 else _P_POWERS
+    while len(powers) < abs(j):
+        powers.append([])
+    first = powers[0]
+    if j < 0:
+        if not first:
+            first.append(1)
+        _divide_grow(first, None, hi)
+    elif len(first) <= hi:
+        coefficients = {0: 1, **dict(_pentagonal_terms(hi))}
+        first.extend(coefficients.get(n, 0) for n in range(len(first), hi + 1))
+    grow = _multiply_grow if j > 0 else _divide_grow
+    for previous, power in zip(powers, powers[1:abs(j)]):
+        grow(power, previous, hi)
+    return powers[abs(j) - 1]
 
 
 def _core_store(t: int, hi: int) -> list[int]:
-    grid = hi // t
-    power = _euler_store(grid)
-    for stage in _EULER_POWERS.setdefault(t, [[] for _ in range(t - 1)]):
-        _multiply_grow(stage, power, grid)
-        power = stage
-    out = _CORES.setdefault(t, [])
-    _divide_grow(out, power, hi, t)
+    out = _SERIES.setdefault(("c", t), [])
+    _divide_grow(out, _power(t, hi // t), hi, t)
     return out
 
 
 def _divisible_store(t: int, hi: int) -> list[int]:
-    grid = hi // t
-    power = _partition_store(grid)
-    for stage in _QUOTIENT_STAGES.setdefault(t, [[] for _ in range(t - 1)]):
-        _divide_grow(stage, power, grid)
-        power = stage
-    out = _DIVISIBLE.setdefault(t, [])
+    power = _power(-t, hi // t)
+    out = _SERIES.setdefault(("d", t), [])
     out.extend(0 if n % t else power[n // t] for n in range(len(out), hi + 1))
     return out
 
 
 def _core_sum_store(t: int, hi: int) -> list[int]:
-    out = _CORE_SUMS.setdefault(t, [])
+    out = _SERIES.setdefault(("C", t), [])
     c = _core_store(t, hi)
     for n in range(len(out), hi + 1):
         out.append(c[n] + out[n - t] if n >= t else c[n])
@@ -175,8 +173,8 @@ def _core_sum_store(t: int, hi: int) -> list[int]:
 
 
 def _sigma_sum_store(t: int, hi: int) -> list[int]:
-    p = _partition_store(hi)
-    out = _SIGMA_SUMS.setdefault(t, [])
+    p = _power(-1, hi)
+    out = _SERIES.setdefault(("S", t), [])
     terms = _pentagonal_terms(hi // t)
     for n in range(len(out), hi + 1):
         total = 0
@@ -193,6 +191,8 @@ def _sigma_sum_store(t: int, hi: int) -> list[int]:
 
 
 def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
+    if t is not None:
+        _require_t(t)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if max_n > SERIES_MAX_N:
@@ -205,24 +205,21 @@ def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
 
 def partition_count_table(max_n: int) -> SeriesTable:
     """p(0..max_n) by the pentagonal-number recurrence."""
-    return _serve("p", None, max_n, _partition_store)
+    return _serve("p", None, max_n, partial(_power, -1))
 
 
 def core_count_table(t: int, max_n: int) -> SeriesTable:
     """c_t(0..max_n): coefficients of the product of (1-x^{tk})^t / (1-x^k)."""
-    _require_t(t)
     return _serve("c", t, max_n, _core_store)
 
 
 def divisible_count_table(t: int, max_n: int) -> SeriesTable:
     """d_t(0..max_n): coefficients of the product of 1/(1-x^{tk})^t."""
-    _require_t(t)
     return _serve("d", t, max_n, _divisible_store)
 
 
 def core_sum_table(t: int, max_n: int) -> SeriesTable:
     """C_t(0..max_n) where C_t(n) = C_t(n-t) + c_t(n)."""
-    _require_t(t)
     return _serve("C", t, max_n, _core_sum_store)
 
 
@@ -233,7 +230,6 @@ def sigma_sum_table(t: int, max_n: int) -> SeriesTable:
     number t * S_t(n) (Bacher-Manivel), so the mean t-quotient size is
     t * S_t(n) / p(n).
     """
-    _require_t(t)
     return _serve("S", t, max_n, _sigma_sum_store)
 
 

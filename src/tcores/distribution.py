@@ -191,6 +191,7 @@ def expected_core_size(t: int, n: int) -> tuple[Fraction, float]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _require_t(t)
     return _expected(t, n, partition_count_table(n)[n], sigma_sum_table(t, n)[n])
 
 
@@ -198,6 +199,7 @@ def expected_core_sizes(t: int, max_n: int) -> list[tuple[Fraction, float]]:
     """expected_core_size(t, n) for n = 1..max_n, reading each series once."""
     if max_n < 1:
         raise ValueError("max_n must be positive")
+    _require_t(t)
     p = partition_count_table(max_n).values
     s = sigma_sum_table(t, max_n).values
     return [_expected(t, n, p[n], s[n]) for n in range(1, max_n + 1)]

@@ -75,9 +75,10 @@ def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-# the counting series cache t - 1 stage lists per modulus and division makes
-# t runner lists, whatever n is: at t = 10^5 a command takes about 45 MB at
-# n = 10 and 60 MB at n = 50 000, at 3 * 10^5 about 95 and 110 MB
+# the counting series hold the powers E^j and 1/E^j for j = 1..t, shared by
+# every modulus, and division makes t runner lists, whatever n is: at
+# t = 10^5 a command takes about 37 MB at n = 10 and 50 MB at n = 50 000, at
+# 3 * 10^5 about 75 and 110 MB
 MAX_T = 100_000
 
 

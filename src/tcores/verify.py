@@ -799,6 +799,8 @@ def run_suite(
     if max_n > counting.SERIES_MAX_N:
         raise ValueError(f"verify is capped at max_n={counting.SERIES_MAX_N} "
                          f"(the counting series cap); got max_n={max_n}")
+    if samples < 1:
+        raise ValueError(f"verify needs samples >= 1; got samples={samples}")
     report = VerificationReport(suite=name, master_seed=seed)
     start = time.perf_counter()
     for fn in checks:

@@ -91,26 +91,22 @@ def test_sigma_sums_grow_as_prefixes_and_rebuild():
     assert cold.values[:ORACLE_N + 1] == dense_oracle("S", 3)
     assert counting.sigma_sum_table(3, 300).values == cold.values[:301]
     counting.clear_tables()
-    assert not counting._SIGMA_SUMS
+    assert not (counting._SERIES or counting._E_POWERS or counting._P_POWERS)
     assert counting.sigma_sum_table(3, 40).values == dense_oracle("S", 3)[:41]
 
 
-def test_threads_extend_one_store():
-    # four threads on two cores, switching often: a lost or doubled append
-    # would shift every later coefficient
-    counting.clear_tables()
-    plans = [(40, 120, 260, ORACLE_N), (ORACLE_N, 399, 15, 333),
-             (7, 300, 8, 350), (390, 1, 200, 399)]
+def _race(work, plans):
+    """work(plan) for each plan on its own thread, all released at once, on
+    two cores and switching often: a lost or doubled append would shift
+    every later coefficient.  Returns what each call returned."""
     start = threading.Barrier(len(plans))
-    served = [[] for _ in plans]
+    served = [None] * len(plans)
 
-    def work(sizes, out):
+    def run(i, plan):
         start.wait()
-        for n in sizes:
-            out.append(counting.core_sum_table(7, n))
+        served[i] = work(plan)
 
-    threads = [threading.Thread(target=work, args=(sizes, out))
-               for sizes, out in zip(plans, served)]
+    threads = [threading.Thread(target=run, args=item) for item in enumerate(plans)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -121,6 +117,14 @@ def test_threads_extend_one_store():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return served
+
+
+def test_threads_extend_one_store():
+    counting.clear_tables()
+    plans = [(40, 120, 260, ORACLE_N), (ORACLE_N, 399, 15, 333),
+             (7, 300, 8, 350), (390, 1, 200, 399)]
+    served = _race(lambda sizes: [counting.core_sum_table(7, n) for n in sizes], plans)
     expected = dense_oracle("C", 7)
     for sizes, tables in zip(plans, served):
         assert [table.max_n for table in tables] == list(sizes)
@@ -128,6 +132,50 @@ def test_threads_extend_one_store():
             assert table.values == expected[:len(table)]
     assert counting.core_sum_table(7, ORACLE_N).values == expected
     assert counting.core_count_table(7, ORACLE_N).values == dense_oracle("c", 7)
+
+
+def test_threads_across_t_extend_shared_powers():
+    # c and d for four moduli at once all extend the one chain of E^j and of
+    # P^j that every t reads
+    counting.clear_tables()
+    moduli = (3, 5, 7, 11)
+    sizes = (60, 17, ORACLE_N, 250, 33, 399)
+    served = _race(lambda t: [table(t, n) for n in sizes for table in (
+        counting.core_count_table, counting.divisible_count_table)], moduli)
+    for t, tables in zip(moduli, served):
+        assert [table.max_n for table in tables] == [n for n in sizes for _ in "cd"]
+        for table in tables:
+            assert table.values == dense_oracle(table.kind, t)[:len(table)]
+
+
+def test_each_power_is_held_once_across_t():
+    counting.clear_tables()
+    for t in range(2, 12):
+        counting.core_count_table(t, ORACLE_N)
+        counting.divisible_count_table(t, ORACLE_N)
+    assert len(counting._E_POWERS) == len(counting._P_POWERS) == 11
+    assert sorted(counting._SERIES) == [(kind, t) for kind in "cd" for t in range(2, 12)]
+    lengths = [len(power) for power in counting._E_POWERS + counting._P_POWERS]
+    c5 = counting.core_count_table(5, ORACLE_N)
+    d5 = counting.divisible_count_table(5, ORACLE_N)
+    assert [len(power) for power in counting._E_POWERS + counting._P_POWERS] == lengths
+    assert c5.values == dense_oracle("c", 5) and d5.values == dense_oracle("d", 5)
+
+
+def test_warm_prefix_serves_build_no_pentagonal_terms(monkeypatch):
+    counting.clear_tables()
+    counting.partition_count_table(ORACLE_N)
+    counting.core_count_table(7, ORACLE_N)
+    counting.divisible_count_table(7, ORACLE_N)
+    calls = []
+    build = counting._pentagonal_terms
+    monkeypatch.setattr(counting, "_pentagonal_terms",
+                        lambda limit: calls.append(limit) or build(limit))
+    for n in (ORACLE_N, 150, 0):
+        assert counting.partition_count_table(n).values == dense_oracle("p", None)[:n + 1]
+        assert counting.core_count_table(7, n).values == dense_oracle("c", 7)[:n + 1]
+        assert counting.divisible_count_table(7, n).values == dense_oracle("d", 7)[:n + 1]
+    assert calls == []
 
 
 def test_core_table_small_values():

@@ -153,6 +153,19 @@ def test_expected_core_size_three_routes(t):
             assert exact == n * (1 - t * exact_residue_distribution(t, n)[0])
 
 
+@pytest.mark.parametrize("t", [1, 0, -3, 100_001])
+def test_expected_core_size_refuses_bad_t_before_any_table(monkeypatch, t):
+    def fail(*args):
+        raise AssertionError("a table was built before t was checked")
+
+    monkeypatch.setattr(dist, "partition_count_table", fail)
+    monkeypatch.setattr(dist, "sigma_sum_table", fail)
+    with pytest.raises(ValueError, match="t must be"):
+        dist.expected_core_sizes(t, 50000)
+    with pytest.raises(ValueError, match="t must be"):
+        dist.expected_core_size(t, 50000)
+
+
 def test_scaled_pmf_points():
     pmf = dist.core_size_pmf(3, 9)
     points = dist.scaled_pmf_points(pmf)

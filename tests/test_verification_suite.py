@@ -42,6 +42,9 @@ def test_max_n_above_series_cap_is_refused_before_any_case(monkeypatch):
     for suite in ("all", "recording"):
         with pytest.raises(ValueError, match="max_n >= 0"):
             verify.run_suite(suite, max_n=-1)
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples >= 1"):
+                verify.run_suite(suite, max_n=3, samples=samples)
     assert ran == []
     assert verify.run_suite("recording", max_n=3).passed
     assert ran == [3]
