@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from . import counting, distribution, hookstats, sampling, verify
-from .partitions import _require_t, make_partition
+from .partitions import MAX_T, _require_t, make_partition
 from .verify import SCHEMA_VERSION
 
 # orbit lists all t! permutations: t = 7 takes seconds, t = 8 over half a minute
@@ -56,8 +56,6 @@ def _fmt(value) -> str:
 def _json_value(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return float(format(value, ".17g"))
     return value
 
 
@@ -86,47 +84,57 @@ def _emit(out: IO[str], fmt: str, command: str, columns: list[str], rows) -> Non
     out.write("]\n}\n" if empty else "\n  ]\n}\n")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    items = sorted({int(x) for x in text.split(",") if x.strip() != ""})
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list")
-    return items
-
-
-def _parse_parts(text: str) -> list[int]:
-    if text.strip() in ("", "-"):
-        return []
-    return [int(x) for x in text.split(",")]
-
-
 def _render_parts(parts: tuple[int, ...]) -> str:
     return " ".join(str(p) for p in parts) if parts else "-"
 
 
-def _check_at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {value}")
+# Argument types: each flag's bound is declared once, on its type, so a bad
+# value is refused while parsing, before any work and any --output file
+def _checked(convert, form: str, accept=lambda value: True):
+    """An argparse type: convert(text) if accept takes the value, else one
+    error naming the expected form."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return parse
 
 
-def _check_at_most(flag: str, value: int, high: int) -> None:
-    if value > high:
-        raise ValueError(f"{flag} must be at most {high}, got {value}")
+def _bounded(low: int, high: float = math.inf):
+    """An integer from low to high."""
+    form = f"an integer from {low} to {high}" if high < math.inf else f"an integer of at least {low}"
+    return _checked(int, form, lambda value: low <= value <= high)
+
+
+def _modulus(high: int = MAX_T):
+    """A modulus t that partitions._require_t takes, at most high."""
+    def accept(t: int) -> bool:
+        try:
+            _require_t(t)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return t <= high
+    return _checked(int, f"an integer t of at most {high}", accept)
+
+
+def _int_list(text: str) -> list[int]:
+    return sorted({int(x) for x in text.split(",") if x.strip()})
+
+
+def _parts(text: str) -> list[int]:
+    return [] if text.strip() in ("", "-") else [int(x) for x in text.split(",")]
 
 
 def _cmd_counts(args, out) -> int:
-    series = [s.strip() for s in args.series.split(",") if s.strip()]
-    valid = {"p", "c", "d", "C"}
-    if not series or any(s not in valid for s in series) or len(set(series)) < len(series):
-        raise ValueError(
-            f"--series takes a subset of p,c,d,C, each once, got {args.series!r}")
-    _check_at_least("--max-n", args.max_n, 0)
-    if any(s != "p" for s in series):
-        if args.t is None:
-            raise ValueError("--t is required for the c, d and C series")
-        _require_t(args.t)
+    if args.t is None and args.series != ["p"]:
+        raise ValueError("--t is required for the c, d and C series")
     columns = ["n"]
     tables = {}
-    for s in series:
+    for s in args.series:
         if s == "p":
             tables[s] = counting.partition_count_table(args.max_n)
             columns.append("p")
@@ -139,13 +147,12 @@ def _cmd_counts(args, out) -> int:
         else:
             tables[s] = counting.core_sum_table(args.t, args.max_n)
             columns.append("C_t")
-    rows = ([n, *(tables[s][n] for s in series)] for n in range(args.max_n + 1))
+    rows = ([n, *(tables[s][n] for s in args.series)] for n in range(args.max_n + 1))
     _emit(out, args.format, "counts", columns, rows)
     return 0
 
 
 def _cmd_pmf(args, out) -> int:
-    _require_t(args.t)
     pmf = distribution.core_size_pmf(args.t, args.n)
     cores = counting.core_count_table(args.t, args.n)
     divis = counting.divisible_count_table(args.t, args.n)
@@ -159,9 +166,6 @@ def _cmd_pmf(args, out) -> int:
 
 
 def _cmd_moments(args, out) -> int:
-    _require_t(args.t)
-    _check_at_least("--n", args.n[0], 1)
-    _check_at_least("--max-k", args.max_k, 1)
     params = distribution.gamma_params(args.t)
     rows = []
     for n in args.n:
@@ -196,13 +200,8 @@ def _cdf_on_grid(pmf, xs: list[float]) -> list[float]:
 
 
 def _cmd_figure1(args, out) -> int:
-    _require_t(args.t)
     params = distribution.gamma_params(args.t)
     if args.view == "cdf":
-        if not (0 < args.grid_step < math.inf):
-            raise ValueError(f"--grid-step must be positive, got {args.grid_step}")
-        if not (0 <= args.grid_max < math.inf):
-            raise ValueError(f"--grid-max must be nonnegative, got {args.grid_max}")
         steps = args.grid_max / args.grid_step       # inf if it overflows
         max_rows = FIGURE1_MAX_CELLS // len(args.n)
         if not steps < max_rows - 0.5:              # round(steps) + 1 rows
@@ -230,8 +229,6 @@ def _cmd_figure1(args, out) -> int:
 
 
 def _cmd_figure2(args, out) -> int:
-    _require_t(args.t)
-    _check_at_least("--max-n", args.max_n, 1)
     means = distribution.expected_core_sizes(args.t, args.max_n)
     rows = ([n, exact, asym] for n, (exact, asym) in enumerate(means, start=1))
     _emit(out, args.format, "figure2", ["n", "expected_exact", "asymptote"], rows)
@@ -239,14 +236,12 @@ def _cmd_figure2(args, out) -> int:
 
 
 def _cmd_hooks(args, out) -> int:
-    _require_t(args.t)
     if args.mode == "exact":
         xs = hookstats.exact_residue_distribution(args.t, args.n)
         rows = [[i, x, float(x)] for i, x in enumerate(xs)]
         _emit(out, args.format, "hooks",
               ["residue", "probability", "probability_float"], rows)
     else:
-        _check_at_most("--samples", args.samples, MAX_DRAWS)
         estimates, errors = hookstats.sampled_residue_distribution(
             args.t, args.n, args.samples, args.seed
         )
@@ -260,13 +255,8 @@ def _cmd_hooks(args, out) -> int:
 
 
 def _cmd_orbit(args, out) -> int:
-    _require_t(args.t)
-    if args.t > ORBIT_MAX_T:
-        raise ValueError(f"orbit takes t at most {ORBIT_MAX_T}, got {args.t}")
     nu = make_partition(args.nu)
     max_b = args.max_b if args.max_b is not None else args.t - 1
-    _check_at_least("--max-b", max_b, 0)
-    _check_at_most("--max-b", max_b, ORBIT_MAX_B)
     # the action moves bead pairs between runners without changing their
     # column spread, so each b-smoothing (b >= 0) is the same on the whole
     # orbit: take it once, from nu, which also checks nu before any output
@@ -284,8 +274,6 @@ def _cmd_orbit(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
-    _check_at_least("--count", args.count, 1)
-    _check_at_most("--count", args.count, MAX_DRAWS)
     table = sampling.build_sampler(args.n)
     rows = (
         [i, _render_parts(sampling.sample_partition(table, args.seed, i).parts)]
@@ -296,9 +284,6 @@ def _cmd_sample(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    _check_at_least("--max-n", args.max_n, 0)
-    _check_at_least("--samples", args.samples, 1)
-    _check_at_most("--samples", args.samples, MAX_DRAWS)
     report = verify.run_suite(
         args.suite, max_n=args.max_n, seed=args.seed, samples=args.samples
     )
@@ -311,86 +296,99 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad input in one stderr line; the subcommand parsers share it."""
+
+    def error(self, message: str):
+        self.exit(2, f"tcores: error: {' '.join(message.splitlines())}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tcores",
         description="Exact t-core combinatorics: tables, distributions, "
         "hook statistics, sampling, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    integer, modulus, draws = _checked(int, "an integer"), _modulus(), _bounded(1, MAX_DRAWS)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def add_common(p, fmt="csv"):
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
         p.add_argument("--output", default=None, help="path; default stdout")
 
     p = sub.add_parser("counts", help="emit count tables")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--series", default="p,c,d,C")
+    p.add_argument("--t", type=modulus, default=None)
+    p.add_argument("--max-n", type=_bounded(0), required=True)
+    p.add_argument("--series", default=["p", "c", "d", "C"], type=_checked(
+        lambda text: [s.strip() for s in text.split(",") if s.strip()],
+        "a subset of p,c,d,C, each once", lambda ss: 0 < len(ss) == len(set(ss) & set("pcdC"))))
     add_common(p)
     p.set_defaults(fn=_cmd_counts)
 
     p = sub.add_parser("pmf", help="exact core-size law for one n")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t", type=modulus, required=True)
+    p.add_argument("--n", type=integer, required=True)
     add_common(p)
     p.set_defaults(fn=_cmd_pmf)
 
     p = sub.add_parser("moments", help="scaled moments against the gamma limit")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=_parse_int_list, required=True)
-    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--t", type=modulus, required=True)
+    p.add_argument("--n", required=True, type=_checked(
+        _int_list, "a comma-separated list of integers of at least 1", lambda ns: ns and ns[0] >= 1))
+    p.add_argument("--max-k", type=_bounded(1), default=3)
     add_common(p)
     p.set_defaults(fn=_cmd_moments)
 
     p = sub.add_parser("figure1", help="CDF comparison grid / density bars")
-    p.add_argument("--t", type=int, default=5)
-    p.add_argument("--n", type=_parse_int_list, default=[20, 62, 103])
+    p.add_argument("--t", type=modulus, default=5)
+    p.add_argument("--n", type=_checked(_int_list, "a comma-separated integer list", bool),
+                   default=[20, 62, 103])
     p.add_argument("--view", choices=("cdf", "density"), default="cdf")
-    p.add_argument("--grid-max", type=float, default=4.0)
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-max", default=4.0, type=_checked(
+        float, "a finite real of at least 0", lambda x: 0 <= x < math.inf))
+    p.add_argument("--grid-step", default=0.05, type=_checked(
+        float, "a finite real above 0", lambda x: 0 < x < math.inf))
     add_common(p)
     p.set_defaults(fn=_cmd_figure1)
 
     p = sub.add_parser("figure2", help="average core size against its asymptote")
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=100)
+    p.add_argument("--t", type=modulus, default=3)
+    p.add_argument("--max-n", type=_bounded(1), default=100)
     add_common(p)
     p.set_defaults(fn=_cmd_figure2)
 
     p = sub.add_parser("hooks", help="hook-residue distribution, exact or sampled")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t", type=modulus, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--mode", choices=("exact", "sample"), default="exact")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--samples", type=draws, default=100000)
+    p.add_argument("--seed", type=integer, default=12345)
     add_common(p)
     p.set_defaults(fn=_cmd_hooks)
 
     p = sub.add_parser("orbit", help="quotient-permutation orbit and smoothings")
-    p.add_argument("--t", type=int, default=3, help=f"2..{ORBIT_MAX_T}")
-    p.add_argument("--nu", type=_parse_parts, required=True,
-                   help="comma-separated parts of a t-divisible partition")
-    p.add_argument("--max-b", type=int, default=None)
+    p.add_argument("--t", type=_modulus(ORBIT_MAX_T), default=3, help=f"2..{ORBIT_MAX_T}")
+    p.add_argument("--nu", required=True, help="comma-separated parts of a t-divisible partition",
+                   type=_checked(_parts, "comma-separated integer parts, or - for none"))
+    p.add_argument("--max-b", type=_bounded(0, ORBIT_MAX_B), default=None)
     add_common(p)
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("sample", help="deterministic uniform random partitions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--count", type=draws, default=10)
+    p.add_argument("--seed", type=integer, default=12345)
     add_common(p)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("verify", help="run the brute-force verification suite")
     p.add_argument("--suite", choices=verify.suite_names(), default="all")
-    p.add_argument("--max-n", type=int, default=22)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--output", default=None)
+    p.add_argument("--max-n", type=_bounded(0), default=22)
+    p.add_argument("--seed", type=integer, default=12345)
+    p.add_argument("--samples", type=draws, default=20000)
+    add_common(p, "json")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -6,6 +6,7 @@ so (1, 1) is the top-left corner.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -50,13 +51,18 @@ EMPTY = PartitionShape(())
 
 def make_partition(parts: Sequence[int]) -> PartitionShape:
     """Validate and build a PartitionShape from any integer sequence."""
-    t = tuple(int(x) for x in parts)
-    for i, x in enumerate(t):
+    t: list[int] = []
+    for i, x in enumerate(parts):
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"part {i} is {x!r}; parts must be integers") from None
         if x <= 0:
             raise ValueError(f"part {i} is {x}; parts must be positive")
-        if i and t[i - 1] < x:
-            raise ValueError(f"parts must be nonincreasing, got {t[i-1]} before {x}")
-    return PartitionShape(t)
+        if t and t[-1] < x:
+            raise ValueError(f"parts must be nonincreasing, got {t[-1]} before {x}")
+        t.append(x)
+    return PartitionShape(tuple(t))
 
 
 def conjugate(shape: PartitionShape) -> PartitionShape:

@@ -323,6 +323,14 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "counts --max-n 3 --series p --output /nonexistent-directory/out.csv",
     "counts --max-n 3 --series p --output .",
     "counts --max-n 3 --series p --output /dev/null/out.csv",
+    "nonsense",
+    "pmf --t 3",
+    "counts --max-n x",
+    "moments --t 3 --n 5,b",
+    "orbit --t 3 --nu 3,a",
+    "counts --max-n 3 --bogus 1",
+    "counts --t 1 --max-n 3 --series p",
+    "hooks --t 3 --n 5 --samples 0",
 ])
 def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert run(argv.split()) == 2
@@ -407,6 +415,14 @@ def test_emit_writes_json_dumps_bytes(rows):
     _emit(out, "json", "x", ["a", "b"], iter(rows))
     payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"],
                "rows": [[_json_value(v) for v in row] for row in rows]}
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@given(st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3))
+def test_emit_writes_json_dumps_bytes_of_any_float(rows):
+    out = io.StringIO()
+    _emit(out, "json", "x", ["a", "b"], iter(rows))
+    payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"], "rows": rows}
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 

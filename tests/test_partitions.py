@@ -51,7 +51,7 @@ def test_make_partition_rejects_increasing():
         make_partition([3, 5])
 
 
-@pytest.mark.parametrize("bad", [[0], [2, 0], [-1], [1, -2]])
+@pytest.mark.parametrize("bad", [[0], [2, 0], [-1], [1, -2], [2.5, 1.9], ["3", "1"]])
 def test_make_partition_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         make_partition(bad)
