@@ -27,7 +27,7 @@ from .verify import SCHEMA_VERSION
 ORBIT_MAX_T = 7
 
 # orbit prints a b-smoothing column for each b = 0..max_b: at t = 7 the cap
-# takes about 0.35 s and 18 MB in CSV, 150 MB in JSON
+# takes about 0.35 s and 18 MB, in CSV and JSON alike, as rows stream
 ORBIT_MAX_B = 300
 
 # figure1's CDF grid has round(grid_max / grid_step) + 1 rows and a column per
@@ -36,49 +36,45 @@ ORBIT_MAX_B = 300
 FIGURE1_MAX_CELLS = 300_000
 
 # draws per request: hooks --mode sample --samples, verify --samples and
-# sample --count; at n = 4000 a draw costs about 50 us and a sample row about
-# 60 us, so the cap is a few seconds of drawing
+# sample --count; at n = 4000 a draw costs 35-180 us and a sample row 57-210 us
+# as the host's speed varies, so the cap is 3.5-21 s of drawing (README)
 MAX_DRAWS = 100_000
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _rational(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
+# a value's CSV text, by its type
+_CSV_TEXT = {
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    str: str,
+    Fraction: _rational,
+    float: lambda value: format(value, ".17g"),
+}
 
 # a row holds scalars only, so the compact encoder with the item separator of
 # depth 2 writes its items as json.dumps(payload, indent=2) does
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), default=_rational)
 
 
-def _emit(out: IO[str], fmt: str, command: str, columns: list[str], rows) -> None:
-    """Write the header, then each row as it comes; JSON output is byte for
-    byte json.dumps(payload, indent=2) of the whole payload."""
-    if fmt == "csv":
+def _emit(out: IO[str], args, columns: list[str], rows) -> None:
+    """Write the header, then each row as it comes, in args.format; JSON
+    output is byte for byte json.dumps(payload, indent=2) of the whole
+    payload, with args.command as its command."""
+    if args.format == "csv":
         out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(",".join([_CSV_TEXT[type(v)](v) for v in row]) + "\n")
         return
     head = json.dumps(
-        {"schema_version": SCHEMA_VERSION, "command": command, "columns": columns},
+        {"schema_version": SCHEMA_VERSION, "command": args.command, "columns": columns},
         indent=2)
     out.write(head[:-2] + ',\n  "rows": [')
     empty = True
     for row in rows:
-        items = _ROW_ENCODER.encode([_json_value(v) for v in row])[1:-1]
+        items = _ROW_ENCODER.encode(row)[1:-1]
         out.write(("\n    [\n      " if empty else ",\n    [\n      ") + items + "\n    ]")
         empty = False
     out.write("]\n}\n" if empty else "\n  ]\n}\n")
@@ -121,34 +117,36 @@ def _modulus(high: int = MAX_T):
     return _checked(int, f"an integer t of at most {high}", accept)
 
 
-def _int_list(text: str) -> list[int]:
-    return sorted({int(x) for x in text.split(",") if x.strip()})
+def _int_list(low: int):
+    """A nonempty comma-separated list of integers from low up, sorted and
+    without repeats."""
+    return _checked(lambda text: sorted({int(x) for x in text.split(",") if x.strip()}),
+                    f"a comma-separated list of integers of at least {low}",
+                    lambda ns: ns and ns[0] >= low)
 
 
 def _parts(text: str) -> list[int]:
     return [] if text.strip() in ("", "-") else [int(x) for x in text.split(",")]
 
 
+# each counts --series letter: its column and its table of (t, max_n); the
+# lambdas read counting when called, so a function rebound there (as the
+# bench tracer rebinds each one) is the one used
+_COUNT_SERIES = {
+    "p": ("p", lambda t, max_n: counting.partition_count_table(max_n)),
+    "c": ("c_t", lambda t, max_n: counting.core_count_table(t, max_n)),
+    "d": ("d_t", lambda t, max_n: counting.divisible_count_table(t, max_n)),
+    "C": ("C_t", lambda t, max_n: counting.core_sum_table(t, max_n)),
+}
+
+
 def _cmd_counts(args, out) -> int:
     if args.t is None and args.series != ["p"]:
         raise ValueError("--t is required for the c, d and C series")
-    columns = ["n"]
-    tables = {}
-    for s in args.series:
-        if s == "p":
-            tables[s] = counting.partition_count_table(args.max_n)
-            columns.append("p")
-        elif s == "c":
-            tables[s] = counting.core_count_table(args.t, args.max_n)
-            columns.append("c_t")
-        elif s == "d":
-            tables[s] = counting.divisible_count_table(args.t, args.max_n)
-            columns.append("d_t")
-        else:
-            tables[s] = counting.core_sum_table(args.t, args.max_n)
-            columns.append("C_t")
-    rows = ([n, *(tables[s][n] for s in args.series)] for n in range(args.max_n + 1))
-    _emit(out, args.format, "counts", columns, rows)
+    series = [_COUNT_SERIES[s] for s in args.series]
+    tables = [table(args.t, args.max_n).values for _, table in series]
+    _emit(out, args, ["n", *(column for column, _ in series)],
+          zip(range(args.max_n + 1), *tables))
     return 0
 
 
@@ -160,8 +158,7 @@ def _cmd_pmf(args, out) -> int:
         [k, cores[k], divis[args.n - k], mass, float(mass)]
         for k, mass in sorted(pmf.masses.items())
     ]
-    _emit(out, args.format, "pmf",
-          ["k", "c_t", "d_t_rest", "mass", "mass_float"], rows)
+    _emit(out, args, ["k", "c_t", "d_t_rest", "mass", "mass_float"], rows)
     return 0
 
 
@@ -180,8 +177,7 @@ def _cmd_moments(args, out) -> int:
             except OverflowError:
                 raise ValueError(f"--max-k {args.max_k} is too large: the moments "
                                  f"of order {k} at n={n} do not fit a float") from None
-    _emit(out, args.format, "moments",
-          ["n", "k", "scaled_moment", "gamma_moment"], rows)
+    _emit(out, args, ["n", "k", "scaled_moment", "gamma_moment"], rows)
     return 0
 
 
@@ -216,41 +212,39 @@ def _cmd_figure1(args, out) -> int:
             [x, *(cdf[i] for cdf in cdfs), distribution.gamma_cdf(params, x)]
             for i, x in enumerate(xs)
         )
-        _emit(out, args.format, "figure1", columns, rows)
     else:
+        columns = ["n", "k", "x", "mass", "density"]
         rows = []
         for n in args.n:
             pmf = distribution.core_size_pmf(args.t, n)
             for k, x, mass, density in distribution.scaled_pmf_points(pmf):
                 rows.append([n, k, x, mass, density])
-        _emit(out, args.format, "figure1",
-              ["n", "k", "x", "mass", "density"], rows)
+    _emit(out, args, columns, rows)
     return 0
 
 
 def _cmd_figure2(args, out) -> int:
     means = distribution.expected_core_sizes(args.t, args.max_n)
     rows = ([n, exact, asym] for n, (exact, asym) in enumerate(means, start=1))
-    _emit(out, args.format, "figure2", ["n", "expected_exact", "asymptote"], rows)
+    _emit(out, args, ["n", "expected_exact", "asymptote"], rows)
     return 0
 
 
 def _cmd_hooks(args, out) -> int:
     if args.mode == "exact":
         xs = hookstats.exact_residue_distribution(args.t, args.n)
+        columns = ["residue", "probability", "probability_float"]
         rows = [[i, x, float(x)] for i, x in enumerate(xs)]
-        _emit(out, args.format, "hooks",
-              ["residue", "probability", "probability_float"], rows)
     else:
         estimates, errors = hookstats.sampled_residue_distribution(
             args.t, args.n, args.samples, args.seed
         )
+        columns = ["residue", "estimate", "standard_error", "samples", "seed"]
         rows = [
             [i, est, err, args.samples, args.seed]
             for i, (est, err) in enumerate(zip(estimates, errors))
         ]
-        _emit(out, args.format, "hooks",
-              ["residue", "estimate", "standard_error", "samples", "seed"], rows)
+    _emit(out, args, columns, rows)
     return 0
 
 
@@ -269,7 +263,7 @@ def _cmd_orbit(args, out) -> int:
             hookstats.permutation_from_word(word), nu, args.t).parts), *smoothings]
         for word in words
     )
-    _emit(out, args.format, "orbit", columns, rows)
+    _emit(out, args, columns, rows)
     return 0
 
 
@@ -279,7 +273,7 @@ def _cmd_sample(args, out) -> int:
         [i, _render_parts(sampling.sample_partition(table, args.seed, i).parts)]
         for i in range(args.count)
     )
-    _emit(out, args.format, "sample", ["index", "partition"], rows)
+    _emit(out, args, ["index", "partition"], rows)
     return 0
 
 
@@ -290,8 +284,7 @@ def _cmd_verify(args, out) -> int:
     if args.format == "json":
         out.write(report.to_json() + "\n")
     else:
-        _emit(out, "csv", "verify",
-              ["case", "passed", "detail"],
+        _emit(out, args, ["case", "passed", "detail"],
               [[c.name, c.passed, c.detail] for c in report.cases])
     return 0 if report.passed else 1
 
@@ -321,30 +314,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counts", help="emit count tables")
     p.add_argument("--t", type=modulus, default=None)
     p.add_argument("--max-n", type=_bounded(0), required=True)
-    p.add_argument("--series", default=["p", "c", "d", "C"], type=_checked(
+    p.add_argument("--series", default=list(_COUNT_SERIES), type=_checked(
         lambda text: [s.strip() for s in text.split(",") if s.strip()],
-        "a subset of p,c,d,C, each once", lambda ss: 0 < len(ss) == len(set(ss) & set("pcdC"))))
+        f"a subset of {','.join(_COUNT_SERIES)}, each once",
+        lambda ss: 0 < len(ss) == len(_COUNT_SERIES.keys() & ss)))
     add_common(p)
     p.set_defaults(fn=_cmd_counts)
 
     p = sub.add_parser("pmf", help="exact core-size law for one n")
     p.add_argument("--t", type=modulus, required=True)
-    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--n", type=_bounded(0), required=True)
     add_common(p)
     p.set_defaults(fn=_cmd_pmf)
 
     p = sub.add_parser("moments", help="scaled moments against the gamma limit")
     p.add_argument("--t", type=modulus, required=True)
-    p.add_argument("--n", required=True, type=_checked(
-        _int_list, "a comma-separated list of integers of at least 1", lambda ns: ns and ns[0] >= 1))
+    p.add_argument("--n", type=_int_list(1), required=True)
     p.add_argument("--max-k", type=_bounded(1), default=3)
     add_common(p)
     p.set_defaults(fn=_cmd_moments)
 
     p = sub.add_parser("figure1", help="CDF comparison grid / density bars")
     p.add_argument("--t", type=modulus, default=5)
-    p.add_argument("--n", type=_checked(_int_list, "a comma-separated integer list", bool),
-                   default=[20, 62, 103])
+    p.add_argument("--n", type=_int_list(0), default=[20, 62, 103])
     p.add_argument("--view", choices=("cdf", "density"), default="cdf")
     p.add_argument("--grid-max", default=4.0, type=_checked(
         float, "a finite real of at least 0", lambda x: 0 <= x < math.inf))
@@ -361,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hooks", help="hook-residue distribution, exact or sampled")
     p.add_argument("--t", type=modulus, required=True)
-    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--n", type=_bounded(1), required=True)
     p.add_argument("--mode", choices=("exact", "sample"), default="exact")
     p.add_argument("--samples", type=draws, default=100000)
     p.add_argument("--seed", type=integer, default=12345)
@@ -377,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("sample", help="deterministic uniform random partitions")
-    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--n", type=_bounded(0), required=True)
     p.add_argument("--count", type=draws, default=10)
     p.add_argument("--seed", type=integer, default=12345)
     add_common(p)

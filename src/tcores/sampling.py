@@ -35,7 +35,8 @@ class SamplerTable:
     of m with largest part j > m/2 leaves a remainder m - j < j that no cap
     constrains, so count(m, k) = count(m, m//2) + sums[m - m//2] - sums[m - k]
     with sums[i] = p(0) + ... + p(i - 1).  count() is the accessor for every
-    k >= 0 and clamps k >= m to p(m); total is p(n).
+    k >= 0 and clamps k >= m to p(m); total is p(n).  It refuses m outside
+    0..n and k < 0, which would read rows and sums from their ends.
     """
 
     n: int
@@ -44,6 +45,8 @@ class SamplerTable:
     total: int
 
     def count(self, m: int, k: int) -> int:
+        if not 0 <= m <= self.n or k < 0:
+            raise ValueError(f"count takes m in 0..{self.n} and k >= 0, got m={m}, k={k}")
         row = self.rows[m]
         if k < len(row):
             return row[k]
@@ -152,17 +155,10 @@ def _mix64(seed: int, index: int) -> int:
 
 
 def stream_rngs(seed: int, count: int) -> Iterator[random.Random]:
-    """The generators for indices 0..count-1 of one stream, in order.
-
-    One generator is re-seeded in place for each index: Random.seed(x) sets
-    the state Random(x) starts from, so index i yields the state of
-    Random(_mix64(seed, i)), which depends only on (seed, i).  Each yielded
-    generator is valid until the next one is requested.
-    """
-    rng = random.Random()
+    """The generators for indices 0..count-1 of one stream, in order: a
+    fresh Random(_mix64(seed, i)) for index i, a function of (seed, i) only."""
     for index in range(count):
-        rng.seed(_mix64(seed, index))
-        yield rng
+        yield random.Random(_mix64(seed, index))
 
 
 def sample_partition(table: SamplerTable, seed: int, index: int) -> PartitionShape:

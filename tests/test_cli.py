@@ -1,18 +1,20 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tcores import counting
-from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _emit, _json_value, run
+from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _emit, run
 from tcores.corequotient import core
 from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import act_on_divisible, b_smoothing, permutation_from_word
@@ -331,6 +333,10 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "counts --max-n 3 --bogus 1",
     "counts --t 1 --max-n 3 --series p",
     "hooks --t 3 --n 5 --samples 0",
+    "pmf --t 3 --n -1",
+    "hooks --t 3 --n 0",
+    "sample --n -1",
+    "figure1 --n -5",
 ])
 def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert run(argv.split()) == 2
@@ -409,21 +415,35 @@ def test_json_rows_stream_as_one_payload(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+def _emitted(fmt: str, columns: list[str], rows) -> str:
+    out = io.StringIO()
+    _emit(out, SimpleNamespace(format=fmt, command="x"), columns, iter(rows))
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("rows", [[], [[1, Fraction(1, 3), 0.1, True, "a\nb"]]])
 def test_emit_writes_json_dumps_bytes(rows):
-    out = io.StringIO()
-    _emit(out, "json", "x", ["a", "b"], iter(rows))
     payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"],
-               "rows": [[_json_value(v) for v in row] for row in rows]}
-    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+               "rows": [[1, "1/3", 0.1, True, "a\nb"]] if rows else []}
+    assert _emitted("json", ["a", "b"], rows) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_writes_each_value_type_as_before():
+    columns = list("abcdefg")
+    row = [7, True, Fraction(-2, 6), 0.1, -0.0, math.inf, "a b"]
+    assert _emitted("csv", columns, [row]) == (
+        "a,b,c,d,e,f,g\n7,true,-1/3,0.10000000000000001,-0,inf,a b\n")
+    assert _emitted("json", columns, [row]) == (
+        '{\n  "schema_version": 1,\n  "command": "x",\n  "columns": [\n    "a",\n'
+        '    "b",\n    "c",\n    "d",\n    "e",\n    "f",\n    "g"\n  ],\n  "rows": [\n'
+        '    [\n      7,\n      true,\n      "-1/3",\n      0.1,\n      -0.0,\n'
+        '      Infinity,\n      "a b"\n    ]\n  ]\n}\n')
 
 
 @given(st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3))
 def test_emit_writes_json_dumps_bytes_of_any_float(rows):
-    out = io.StringIO()
-    _emit(out, "json", "x", ["a", "b"], iter(rows))
     payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"], "rows": rows}
-    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+    assert _emitted("json", ["a", "b"], rows) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_parser_is_reused_across_calls(capsys):

@@ -53,6 +53,13 @@ def test_table_recurrence():
     assert table.count(0, 5) == 1
 
 
+@pytest.mark.parametrize("m, k", [(10, -1), (4, -5), (-1, 3), (11, 3), (11, 11)])
+def test_count_refuses_cells_off_the_table(m, k):
+    table = sp.build_sampler(10)
+    with pytest.raises(ValueError, match="count takes"):
+        table.count(m, k)
+
+
 def test_table_matches_partition_counts():
     table = sp.build_sampler(100)
     counts = partition_count_table(100)
@@ -187,6 +194,13 @@ def test_stream_rngs_match_fresh_generators():
         states = [rng.getstate() for rng in sp.stream_rngs(seed, 50)]
         assert states == [random.Random(sp._mix64(seed, i)).getstate() for i in range(50)]
     assert list(sp.stream_rngs(3, 0)) == []
+
+
+def test_listed_stream_holds_one_generator_per_index():
+    rngs = list(sp.stream_rngs(11, 3))
+    assert len({id(rng) for rng in rngs}) == 3
+    assert [rng.getstate() for rng in rngs] == [
+        random.Random(sp._mix64(11, i)).getstate() for i in range(3)]
 
 
 def test_threads_extend_one_store():
