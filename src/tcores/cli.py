@@ -36,8 +36,9 @@ ORBIT_MAX_B = 300
 FIGURE1_MAX_CELLS = 300_000
 
 # draws per request: hooks --mode sample --samples, verify --samples and
-# sample --count; at n = 4000 a draw costs 35-180 us and a sample row 57-210 us
-# as the host's speed varies, so the cap is 3.5-21 s of drawing (README)
+# sample --count; at n = 4000 a draw costs 35-195 us and a sample row 57-245 us
+# as the host's speed varies, so the cap is 3.5-25 s of drawing (README);
+# unranking, not seeding, sets that cost
 MAX_DRAWS = 100_000
 
 
@@ -270,8 +271,8 @@ def _cmd_orbit(args, out) -> int:
 def _cmd_sample(args, out) -> int:
     table = sampling.build_sampler(args.n)
     rows = (
-        [i, _render_parts(sampling.sample_partition(table, args.seed, i).parts)]
-        for i in range(args.count)
+        [i, _render_parts(sampling.unrank_partition(table, rank).parts)]
+        for i, (rank,) in enumerate(sampling.index_draws(args.seed, args.count, table.total))
     )
     _emit(out, args, ["index", "partition"], rows)
     return 0
@@ -305,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "hook statistics, sampling, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    integer, modulus, draws = _checked(int, "an integer"), _modulus(), _bounded(1, MAX_DRAWS)
+    modulus, draws, seed = _modulus(), _bounded(1, MAX_DRAWS), _bounded(0, 2**64 - 1)
 
     def add_common(p, fmt="csv"):
         p.add_argument("--format", choices=("csv", "json"), default=fmt)
@@ -356,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_bounded(1), required=True)
     p.add_argument("--mode", choices=("exact", "sample"), default="exact")
     p.add_argument("--samples", type=draws, default=100000)
-    p.add_argument("--seed", type=integer, default=12345)
+    p.add_argument("--seed", type=seed, default=12345)
     add_common(p)
     p.set_defaults(fn=_cmd_hooks)
 
@@ -371,14 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="deterministic uniform random partitions")
     p.add_argument("--n", type=_bounded(0), required=True)
     p.add_argument("--count", type=draws, default=10)
-    p.add_argument("--seed", type=integer, default=12345)
+    p.add_argument("--seed", type=seed, default=12345)
     add_common(p)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("verify", help="run the brute-force verification suite")
     p.add_argument("--suite", choices=verify.suite_names(), default="all")
     p.add_argument("--max-n", type=_bounded(0), default=22)
-    p.add_argument("--seed", type=integer, default=12345)
+    p.add_argument("--seed", type=seed, default=12345)
     p.add_argument("--samples", type=draws, default=20000)
     add_common(p, "json")
     p.set_defaults(fn=_cmd_verify)

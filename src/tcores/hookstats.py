@@ -110,9 +110,9 @@ def sampled_residue_distribution(
         raise ValueError("samples must be positive")
     table = sampling.build_sampler(n)
     counts = [0] * t
-    for rng in sampling.stream_rngs(seed, samples):
-        shape = sampling.unrank_partition(table, rng.randrange(table.total))
-        counts[_random_cell_residue(shape, t, rng.randrange(n))] += 1
+    for rank, cell in sampling.index_draws(seed, samples, table.total, n):
+        shape = sampling.unrank_partition(table, rank)
+        counts[_random_cell_residue(shape, t, cell)] += 1
     estimates = tuple(c / samples for c in counts)
     errors = tuple(math.sqrt(p * (1.0 - p) / samples) for p in estimates)
     return estimates, errors

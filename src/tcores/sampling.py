@@ -4,9 +4,10 @@ A classic dynamic-programming table counts partitions of m with largest part
 at most k.  Because the row entry at k is precisely the number of partitions
 whose largest part is at most k, each row is its own cumulative distribution,
 and a single uniform integer rank in [0, p(n)) unranks to a partition by
-exact big-integer comparisons.  No floating point and no rejection loop touch
-the draw, so the distribution over partitions is exactly uniform and every
-sample is a pure function of (seed, index).
+exact big-integer comparisons.  No floating point touches the draw and the
+rank comes from randrange's rejection loop, so the distribution over
+partitions is exactly uniform and every sample is a pure function of
+(seed, index).
 
 Row m of the table does not depend on n, so one list of rows, grown on demand,
 serves every n as a prefix.  Only the lower half of each row is stored; the
@@ -14,8 +15,8 @@ upper half follows from one running sum of p.
 """
 from __future__ import annotations
 
-import random
 import threading
+from _random import Random as _MersenneTwister
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -147,21 +148,62 @@ def unrank_partition(table: SamplerTable, rank: int) -> PartitionShape:
 
 def _mix64(seed: int, index: int) -> int:
     """SplitMix64 finalizer applied to seed advanced by index steps of the
-    golden-ratio increment; collision-free over indices for a fixed seed."""
+    golden-ratio increment; collision-free over indices for a fixed seed.
+
+    The seed is reduced mod 2^64, so seeds that differ by a multiple of 2^64
+    (-1 and 2^64 - 1, say) give the same value; the CLI takes 0..2^64 - 1.
+    """
     z = (seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def stream_rngs(seed: int, count: int) -> Iterator[random.Random]:
-    """The generators for indices 0..count-1 of one stream, in order: a
-    fresh Random(_mix64(seed, i)) for index i, a function of (seed, i) only."""
+# one generator per thread, reseeded for every index: seeding the C core of
+# random.Random in place sets the state a new random.Random seeded with the
+# same int starts from, without building a new object
+_THREAD = threading.local()
+
+
+def _draws(seed: int, index: int, bounds: tuple[int, ...]) -> tuple[int, ...]:
+    """The values randrange(b), bound by bound (each b >= 1), that a new
+    random.Random seeded with _mix64(seed, index) draws, by randrange's own
+    rejection loop over getrandbits.
+
+    Nothing may draw from the thread's generator between the reseed and the
+    last bound, so nothing between them yields or calls code that draws.
+    """
+    try:
+        rng = _THREAD.rng
+    except AttributeError:
+        rng = _THREAD.rng = _MersenneTwister()
+    rng.seed(_mix64(seed, index))
+    getrandbits = rng.getrandbits
+    values = []
+    for bound in bounds:
+        k = bound.bit_length()
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        values.append(r)
+    return tuple(values)
+
+
+def index_draws(seed: int, count: int, *bounds: int) -> Iterator[tuple[int, ...]]:
+    """For indices 0..count-1 of one stream, in order, the tuple of
+    successive randrange(b) values over bounds, each equal to what a new
+    random.Random seeded with _mix64(seed, index) draws: a function of
+    (seed, index) only, whatever is drawn between two indices or in another
+    thread.  A bound below 1 is refused when the stream is first advanced."""
+    if not all(bound >= 1 for bound in bounds):
+        raise ValueError(f"bounds must be positive, got {bounds}")
     for index in range(count):
-        yield random.Random(_mix64(seed, index))
+        yield _draws(seed, index, bounds)
 
 
 def sample_partition(table: SamplerTable, seed: int, index: int) -> PartitionShape:
-    """Exactly uniform partition of n, a pure function of (seed, index)."""
-    rng = random.Random(_mix64(seed, index))
-    return unrank_partition(table, rng.randrange(table.total))
+    """Exactly uniform partition of n, a pure function of (seed, index): the
+    rank randrange(p(n)) of a new random.Random seeded with
+    _mix64(seed, index), unranked.  The seed is taken mod 2^64 (see
+    _mix64)."""
+    return unrank_partition(table, _draws(seed, index, (table.total,))[0])

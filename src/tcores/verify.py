@@ -760,14 +760,16 @@ def check_sampler_frequencies(max_n: int, seed: int, samples: int):
     n = 8
     table = sampling.build_sampler(n)
     counts = Counter(
-        sampling.sample_partition(table, seed, i) for i in range(samples)
+        sampling.unrank_partition(table, rank).parts
+        for rank, in sampling.index_draws(seed, samples, table.total)
     )
     worst = max(
-        abs(counts.get(shape, 0) / samples - 1.0 / table.total)
+        abs(counts.get(shape.parts, 0) / samples - 1.0 / table.total)
         for shape in _shapes(n)
     )
+    # the rerun draws through the other entry point, one index at a time
     rerun = Counter(
-        sampling.sample_partition(table, seed, i) for i in range(samples)
+        sampling.sample_partition(table, seed, i).parts for i in range(samples)
     )
     if rerun != counts:
         return _fail({"seed": seed}, "rerun differs under fixed seed")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -261,6 +262,33 @@ def test_sample_different_seeds_differ(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_seed_takes_the_64_bit_range(capsys):
+    # the sampler reduces a seed mod 2^64, so the flag takes exactly 0..2^64 - 1
+    code, top = run_capture(capsys, "sample", "--n", "30", "--count", "3",
+                            "--seed", str(2**64 - 1))
+    assert code == 0
+    _, zero = run_capture(capsys, "sample", "--n", "30", "--count", "3", "--seed", "0")
+    assert top != zero
+
+
+def test_draws_build_no_generator(capsys, monkeypatch):
+    # every draw reseeds its thread's generator; none builds a random.Random
+    built = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    assert run("sample --n 30 --count 20".split()) == 0
+    assert run("hooks --t 3 --n 30 --mode sample --samples 20".split()) == 0
+    # 50 draws cannot bring every frequency within 0.01 of 1/22: the report fails
+    assert run("verify --suite sampling --max-n 5 --samples 50".split()) == 1
+    assert capsys.readouterr().err == ""
+    assert built == []
+
+
 def test_verify_suite_json(capsys):
     code, out = run_capture(
         capsys, "verify", "--suite", "partitions", "--max-n", "8"
@@ -337,6 +365,10 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     "hooks --t 3 --n 0",
     "sample --n -1",
     "figure1 --n -5",
+    "sample --n 30 --count 3 --seed -1",
+    f"sample --n 30 --count 3 --seed {2**64}",
+    "hooks --t 3 --n 5 --mode sample --samples 5 --seed -1",
+    f"verify --suite sampling --max-n 3 --samples 5 --seed {2**64}",
 ])
 def test_bad_input_is_refused_in_one_line(capsys, argv):
     assert run(argv.split()) == 2

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -116,6 +118,32 @@ def test_sampled_distribution_deterministic():
 def test_sampled_distribution_matches_per_draw_generators(t, n, samples, seed):
     assert hs.sampled_residue_distribution(t, n, samples, seed) == \
         sampled_residues_per_index(t, n, samples, seed)
+
+
+def test_threads_draw_the_sequential_estimates():
+    # four threads on two cores, switching often, each drawing on its own
+    # reseeded generator: a generator shared between them would shift draws
+    plans = [(3, 40, 3000, 1), (5, 120, 2000, 2), (2, 1, 500, 3), (7, 300, 2000, 4)]
+    expected = [hs.sampled_residue_distribution(*plan) for plan in plans]
+    start = threading.Barrier(len(plans))
+    served = [None] * len(plans)
+
+    def work(i):
+        start.wait()
+        served[i] = hs.sampled_residue_distribution(*plans[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(plans))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert served == expected
 
 
 def test_sampled_distribution_large_n_self_consistency():

@@ -189,18 +189,51 @@ def test_unrank_matches_bisection_oracle_around_half_row_at_large_n():
             assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, n, rank)
 
 
-def test_stream_rngs_match_fresh_generators():
-    for seed in (0, 7, 2024, 2**64 - 1):
-        states = [rng.getstate() for rng in sp.stream_rngs(seed, 50)]
-        assert states == [random.Random(sp._mix64(seed, i)).getstate() for i in range(50)]
-    assert list(sp.stream_rngs(3, 0)) == []
+def fresh_draws(seed, count, bounds):
+    """The reference: a new random.Random per index."""
+    draws = []
+    for index in range(count):
+        rng = random.Random(sp._mix64(seed, index))
+        draws.append(tuple(rng.randrange(bound) for bound in bounds))
+    return draws
 
 
-def test_listed_stream_holds_one_generator_per_index():
-    rngs = list(sp.stream_rngs(11, 3))
-    assert len({id(rng) for rng in rngs}) == 3
-    assert [rng.getstate() for rng in rngs] == [
-        random.Random(sp._mix64(11, i)).getstate() for i in range(3)]
+# randrange draws bit_length(b) bits and rejects values >= b: half of them at
+# b = 1 and b = 2^k, almost half at 2^k + 1, almost none at 2^k - 1;
+# p(SAMPLER_MAX_N) is the largest rank the sampler draws
+DRAW_BOUNDS = (1, 2, 3, 7, 8, 9, 255, 256, 257, 2**32 - 1, 2**32, 2**32 + 1,
+               2**64 + 1, partition_count_table(sp.SAMPLER_MAX_N)[sp.SAMPLER_MAX_N])
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.sampled_from(DRAW_BOUNDS), max_size=4))
+@settings(max_examples=150)
+def test_index_draws_match_fresh_generators(seed, bounds):
+    assert list(sp.index_draws(seed, 12, *bounds)) == fresh_draws(seed, 12, bounds)
+
+
+def test_listed_stream_holds_values():
+    listed = list(sp.index_draws(11, 3, 10**40, 7))
+    assert listed == fresh_draws(11, 3, (10**40, 7))
+    assert list(sp.index_draws(3, 0, 5)) == []
+
+
+@pytest.mark.parametrize("bounds", [(0,), (5, -1)])
+def test_index_draws_refuse_empty_ranges(bounds):
+    with pytest.raises(ValueError, match="bounds must be positive"):
+        next(sp.index_draws(3, 5, *bounds))
+
+
+def test_interleaved_streams_draw_as_each_alone():
+    # one thread's generator serves both streams and the calls between them
+    bounds = (1000, 22, 1)
+    first, second = list(sp.index_draws(5, 40, *bounds)), list(sp.index_draws(6, 40, *bounds))
+    table = sp.build_sampler(9)
+    woven = []
+    for pair in zip(sp.index_draws(5, 40, *bounds), sp.index_draws(6, 40, *bounds)):
+        sp.sample_partition(table, 7, len(woven))
+        woven.append(pair)
+    assert woven == list(zip(first, second))
+    assert (first, second) == (fresh_draws(5, 40, bounds), fresh_draws(6, 40, bounds))
 
 
 def test_threads_extend_one_store():
