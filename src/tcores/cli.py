@@ -36,9 +36,11 @@ ORBIT_MAX_B = 300
 FIGURE1_MAX_CELLS = 300_000
 
 # draws per request: hooks --mode sample --samples, verify --samples and
-# sample --count; at n = 4000 a draw costs 35-195 us and a sample row 57-245 us
-# as the host's speed varies, so the cap is 3.5-25 s of drawing (README);
-# unranking, not seeding, sets that cost
+# sample --count; at n = 4000 a sample row, one full unrank, costs 57-245 us
+# as the host's speed varies, and a sampled hook, which descends only to the
+# drawn cell's column, about half a full unrank's time (96 against 181 us
+# alternated in one process), so the cap is up to about 25 s of drawing
+# (README); unranking, not seeding, sets that cost
 MAX_DRAWS = 100_000
 
 

@@ -81,19 +81,6 @@ def exact_residue_distribution(t: int, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, denom) for c in totals)
 
 
-def _random_cell_residue(shape: PartitionShape, t: int, cell_index: int) -> int:
-    # walk to the row containing the flat cell index, then one hook length
-    parts = shape.parts
-    acc = 0
-    for r, width in enumerate(parts, start=1):
-        if cell_index < acc + width:
-            c = cell_index - acc + 1
-            col_len = bisect_right(parts, -c, key=neg)
-            return (width - c + col_len - r + 1) % t
-        acc += width
-    raise AssertionError("cell index out of range")
-
-
 def sampled_residue_distribution(
     t: int, n: int, samples: int, seed: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -101,7 +88,8 @@ def sampled_residue_distribution(
 
     Each sample draws one uniform partition and one uniform cell of it, so
     the estimates are multinomial proportions; the result depends only on
-    (seed, samples), never on scheduling.
+    (seed, samples), never on scheduling.  A draw unranks the partition only
+    down to the drawn cell's column (sampling.hook_at), not in full.
     """
     _require_t(t)
     if n < 1:
@@ -111,8 +99,7 @@ def sampled_residue_distribution(
     table = sampling.build_sampler(n)
     counts = [0] * t
     for rank, cell in sampling.index_draws(seed, samples, table.total, n):
-        shape = sampling.unrank_partition(table, rank)
-        counts[_random_cell_residue(shape, t, cell)] += 1
+        counts[sampling.hook_at(table, rank, cell) % t] += 1
     estimates = tuple(c / samples for c in counts)
     errors = tuple(math.sqrt(p * (1.0 - p) / samples) for p in estimates)
     return estimates, errors

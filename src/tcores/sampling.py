@@ -107,8 +107,11 @@ def build_sampler(n: int) -> SamplerTable:
         return SamplerTable(n, tuple(_ROWS[:n + 1]), tuple(_SUMS[:n + 2]), total)
 
 
-def unrank_partition(table: SamplerTable, rank: int) -> PartitionShape:
-    """The partition at a given rank of the table's bijective ordering.
+def _descend(
+    table: SamplerTable, rank: int, cell: int
+) -> tuple[list[int], int, int, int, int]:
+    """The unranking descent of the partition at rank, stopped once the hook
+    of flat cell `cell` (row-major, from 0) is known.
 
     Ranks 0 .. p(n)-1 enumerate every partition of n exactly once: at each
     step the next (largest remaining) part j is the least value whose
@@ -116,34 +119,91 @@ def unrank_partition(table: SamplerTable, rank: int) -> PartitionShape:
     stored half row; it is found by bisecting the prefix sums of p instead.
     Once parts are capped at 2 the rest is closed form: count(m, 1) = 1, so
     rank r takes r twos, then ones.
+
+    Returns (parts, m, twos, row, column): the parts drawn, largest first;
+    the closed-form tail that follows them, `twos` twos and then m - 2*twos
+    ones; and the cell's row and column, from 1, once the parts drawn pass
+    the cell, else 0 (the cell lies in the tail).  From the cell's row on,
+    the descent goes on only while the last part drawn exceeds
+    max(2, column - 1).  So it ends at the first part below the column,
+    which is then the last part drawn, and (m, twos) is a tail only for a
+    column of at most 2.  A cell at n or beyond is never passed, and the
+    parts and tail are the whole partition.
     """
     if not 0 <= rank < table.total:
         raise ValueError(f"rank must lie in [0, {table.total}), got {rank}")
     rows, sums = table.rows, table.sums
     m = cap = table.n
     parts = []
-    while cap > 2 and m > 0:
-        row = rows[m]
-        if cap < len(row):
-            j = bisect_right(row, rank, 0, cap + 1)
-        elif rank < row[-1]:
-            j = bisect_right(row, rank)
+    row = column = 0
+    # the parts drawn pass the cell once m, the size left, falls below stop;
+    # the inner loop's bounds change once, there, so a step tests nothing else
+    stop = m - cell
+    floor = 2
+    bottom = stop - 1 if stop > 0 else 0
+    while True:
+        while cap > floor and m > bottom:
+            counts = rows[m]
+            if cap < len(counts):
+                j = bisect_right(counts, rank, 0, cap + 1)
+                rank -= counts[j - 1]
+            elif rank < counts[-1]:
+                j = bisect_right(counts, rank)
+                rank -= counts[j - 1]
+            else:
+                # count(m, j) = p(m) - sums[m - j] for j >= m/2: the part is
+                # j = m - i for the largest i with sums[i] < p(m) - rank
+                edge = m - len(counts) + 1
+                target = counts[-1] + sums[edge] - rank
+                i = bisect_left(sums, target, 0, edge) - 1
+                j = m - i
+                rank = sums[i + 1] - target
+            parts.append(j)
+            m -= j
+            cap = j
+        if row or m >= stop:
+            return parts, m, rank, row, column
+        row, column = len(parts), cap + m - stop + 1
+        floor, bottom = max(2, column - 1), 0
+
+
+def unrank_partition(table: SamplerTable, rank: int) -> PartitionShape:
+    """The partition at a given rank of the table's bijective ordering, in
+    which ranks 0 .. p(n)-1 give every partition of n exactly once: the
+    descent of _descend, run to the end."""
+    parts, m, twos, _, _ = _descend(table, rank, table.n)
+    shape = (*parts, *(2,) * twos, *(1,) * (m - 2 * twos))
+    return PartitionShape(shape) if shape else EMPTY
+
+
+def hook_at(table: SamplerTable, rank: int, cell: int) -> int:
+    """The hook length of flat cell `cell` (row-major, from 0) of the
+    partition at rank, without unranking the whole partition.
+
+    The cell (r, c) of a partition lambda has hook lambda_r - c + lambda'_c -
+    r + 1, where lambda'_c counts the parts >= c.  Parts come largest first,
+    so r, c and lambda_r are known once the parts drawn pass the cell, and
+    lambda'_c at the first part below c, where the descent stops.  A cell or
+    column that reaches the closed-form tail of twos and ones is read off
+    the tail's counts without building it.
+    """
+    n = table.n
+    if not 0 <= cell < n:
+        raise ValueError(f"cell must lie in [0, {n}), got {cell}")
+    parts, m, twos, row, column = _descend(table, rank, cell)
+    if row:
+        width = parts[row - 1]
+        height = len(parts) - (parts[-1] < column)
+    else:
+        # the tail holds the cell: twos rows of two cells, then rows of one
+        offset = cell - n + m
+        if offset < 2 * twos:
+            row, column, width = len(parts) + offset // 2 + 1, offset % 2 + 1, 2
         else:
-            # count(m, j) = p(m) - sums[m - j] for j >= m/2: the part is
-            # j = m - i for the largest i with sums[i] < p(m) - rank
-            edge = m - len(row) + 1
-            target = row[-1] + sums[edge] - rank
-            i = bisect_left(sums, target, 0, edge) - 1
-            parts.append(m - i)
-            rank = sums[i + 1] - target
-            m, cap = i, m - i
-            continue
-        parts.append(j)
-        rank -= row[j - 1]
-        m -= j
-        cap = j
-    parts += [2] * rank + [1] * (m - 2 * rank)
-    return PartitionShape(tuple(parts)) if parts else EMPTY
+            row, column, width = len(parts) + offset - twos + 1, 1, 1
+        height = len(parts)
+    height += m - twos if column == 1 else twos if column == 2 else 0
+    return width - column + height - row + 1
 
 
 def _mix64(seed: int, index: int) -> int:

@@ -19,7 +19,8 @@ from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _emit, run
 from tcores.corequotient import core
 from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import act_on_divisible, b_smoothing, permutation_from_word
-from tcores.partitions import EMPTY, MAX_T, enumerate_partitions, make_partition
+from tcores.partitions import (
+    EMPTY, MAX_T, PartitionShape, enumerate_partitions, make_partition)
 from tcores.sampling import SAMPLER_MAX_N
 
 
@@ -283,10 +284,27 @@ def test_draws_build_no_generator(capsys, monkeypatch):
     monkeypatch.setattr(random, "Random", Counted)
     assert run("sample --n 30 --count 20".split()) == 0
     assert run("hooks --t 3 --n 30 --mode sample --samples 20".split()) == 0
-    # 50 draws cannot bring every frequency within 0.01 of 1/22: the report fails
-    assert run("verify --suite sampling --max-n 5 --samples 50".split()) == 1
+    assert run("verify --suite sampling --max-n 5 --samples 50".split()) == 0
     assert capsys.readouterr().err == ""
     assert built == []
+
+
+def test_sampled_hooks_build_no_partition(capsys, monkeypatch):
+    # a sampled hook descends only to the drawn cell's column; a sample row
+    # is one whole partition
+    built = []
+    init = PartitionShape.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PartitionShape, "__init__", counted)
+    assert run("hooks --t 3 --n 30 --mode sample --samples 200".split()) == 0
+    assert built == []
+    assert run("sample --n 30 --count 20".split()) == 0
+    assert len(built) == 20
+    capsys.readouterr()
 
 
 def test_verify_suite_json(capsys):

@@ -3,7 +3,7 @@ import sys
 import threading
 from collections import Counter
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tcores import sampling as sp
 from tcores.counting import partition_count_table
 from tcores.oracles import sampler_rows_dense, unrank_by_bisection
-from tcores.partitions import EMPTY, enumerate_partitions, make_partition
+from tcores.partitions import EMPTY, enumerate_partitions, hook_length, make_partition
 
 ORACLE_N = 600
 
@@ -187,6 +187,49 @@ def test_unrank_matches_bisection_oracle_around_half_row_at_large_n():
         ranks = [*range(edge - 200, edge + 200), *range(table.total - 200, table.total)]
         for rank in ranks:
             assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, n, rank)
+
+
+@pytest.mark.parametrize("n", range(23))
+def test_hook_at_matches_the_full_unrank_at_every_rank_and_cell(n):
+    table = sp.build_sampler(n)
+    for rank in range(table.total):
+        shape = sp.unrank_partition(table, rank)
+        hooks = [hook_length(shape, cell) for cell in shape.cells()]
+        assert [sp.hook_at(table, rank, cell) for cell in range(n)] == hooks
+
+
+def assert_hook_at_matches_unrank(table, rank, cell):
+    shape = sp.unrank_partition(table, rank)
+    row_major = next(islice(shape.cells(), cell, None))
+    assert sp.hook_at(table, rank, cell) == hook_length(shape, row_major)
+
+
+@pytest.mark.parametrize("rank_at, cell_at", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+def test_hook_at_matches_the_full_unrank_at_the_extremes(rank_at, cell_at):
+    # rank 0 is all ones and rank p(n) - 1 the single part n
+    table = sp.build_sampler(583)
+    assert_hook_at_matches_unrank(table, range(table.total)[rank_at], range(583)[cell_at])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_hook_at_matches_the_full_unrank_at_large_n(data):
+    table = sp.build_sampler(583)
+    rank = data.draw(st.integers(0, table.total - 1), label="rank")
+    cell = data.draw(st.integers(0, 582), label="cell")
+    assert_hook_at_matches_unrank(table, rank, cell)
+
+
+def test_hook_at_refuses_ranks_and_cells_off_the_table():
+    table = sp.build_sampler(6)
+    for rank, cell in [(table.total, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match="rank must lie"):
+            sp.hook_at(table, rank, cell)
+    for rank, cell in [(0, 6), (0, -1)]:
+        with pytest.raises(ValueError, match="cell must lie"):
+            sp.hook_at(table, rank, cell)
+    with pytest.raises(ValueError, match="cell must lie"):
+        sp.hook_at(sp.build_sampler(0), 0, 0)
 
 
 def fresh_draws(seed, count, bounds):

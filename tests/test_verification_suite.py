@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from tcores import cli, counting, verify
+from tcores import cli, counting, sampling, verify
 
 
 def test_all_suites_pass_at_full_scale(full_report):
@@ -71,3 +71,26 @@ def test_small_hook_bound_reports_a_failing_shape(monkeypatch):
     assert not case.passed
     assert case.params == {"n": 1, "m": 1}
     assert case.detail == "bound fails at (1,)"
+
+
+@pytest.mark.parametrize("samples", [50, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 12345])
+def test_sampler_frequencies_pass_a_uniform_sampler_at_few_samples(samples, seed):
+    case = verify.check_sampler_frequencies(8, seed, samples)
+    assert case.passed, case.detail
+    assert case.params == {"n": 8, "samples": samples, "seed": seed}
+
+
+@pytest.mark.parametrize("samples, every", [(20000, 10), (100000, 10), (100000, 100)])
+def test_sampler_frequencies_fail_a_biased_sampler(monkeypatch, samples, every):
+    # rank 0 for one index in `every`, through both entry points: at one in a
+    # hundred its share is off by 0.0095, inside a fixed 0.01 bound
+    draws = sampling._draws
+
+    def biased(seed, index, bounds):
+        return (0,) * len(bounds) if index % every == 0 else draws(seed, index, bounds)
+
+    monkeypatch.setattr(sampling, "_draws", biased)
+    case = verify.check_sampler_frequencies(8, 3, samples)
+    assert not case.passed
+    assert case.detail.startswith("max frequency deviation")
