@@ -4,9 +4,9 @@ quadratic form behind core sizes, and leading-order estimates.
 
 The five integer series share one engine built on the sparse Euler factor
 E(x) = prod (1 - x^k) (see below).  Each power E^j and 1/E^j is kept once,
-for every t, and each series as one list per (kind, t); all of them only
+for every t, and c, C and S as one list per (kind, t); all of them only
 grow, so a request extends them from where they stopped and is served as a
-prefix, under one module lock.
+prefix, under one module lock.  d_t is spread out of P^t on each request.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ class SeriesTable:
 _LOCK = threading.Lock()
 _E_POWERS: list[list[int]] = []               # E^j at index j - 1
 _P_POWERS: list[list[int]] = []               # P^j = E^-j at index j - 1
-_SERIES: dict[tuple[str, int], list[int]] = {}  # (kind, t) -> c, d, C or S
+_SERIES: dict[tuple[str, int], list[int]] = {}  # (kind, t) -> c, C or S
 
 
 def clear_tables() -> None:
@@ -158,9 +158,8 @@ def _core_store(t: int, hi: int) -> list[int]:
 
 
 def _divisible_store(t: int, hi: int) -> list[int]:
-    power = _power(-t, hi // t)
-    out = _SERIES.setdefault(("d", t), [])
-    out.extend(0 if n % t else power[n // t] for n in range(len(out), hi + 1))
+    out = [0] * (hi + 1)
+    out[::t] = _power(-t, hi // t)[:hi // t + 1]
     return out
 
 

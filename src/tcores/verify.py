@@ -3,11 +3,10 @@ identity the library relies on, runnable from the CLI.
 
 Each case compares a production code path against an independent route
 (exhaustive enumeration, a second formula, or a closed form) and reports a
-CaseResult; a suite passes only if every case does.  Two cases have no
-independent route: `core_sum_difference` asserts C(n) - C(n - t) = c(n),
-the recurrence the C table is built from, and `abacus_roundtrip` checks the
-bit-word module against itself.  max_n caps the exhaustive sweeps so the
-whole run stays interactive.
+CaseResult; a suite passes only if every case does.  One case has no
+independent route: `abacus_roundtrip` checks the bit-word module against
+itself.  max_n caps the exhaustive sweeps so the whole run stays
+interactive.
 """
 from __future__ import annotations
 
@@ -375,7 +374,8 @@ def check_core_sum_census(max_n: int):
 
 @_check("counting", "core_sum_difference")
 def check_core_sum_difference(max_n: int):
-    limit = max(max_n, 200)
+    # C is built by this recurrence, so the dense products check it too
+    limit = 200
     for t in (2, 3, 4, 5, 6):
         c = counting.core_count_table(t, limit)
         big = counting.core_sum_table(t, limit)
@@ -383,6 +383,8 @@ def check_core_sum_difference(max_n: int):
             prev = big[n - t] if n >= t else 0
             if c[n] != big[n] - prev:
                 return _fail({"t": t, "n": n}, "difference identity fails")
+        if big.values != oracles.core_sums_by_products(t, limit):
+            return _fail({"t": t}, "series vs product oracle mismatch")
     return {"max_n": limit}
 
 
@@ -768,12 +770,6 @@ def check_sampler_frequencies(max_n: int, seed: int, samples: int):
     worst = max(abs(counts.get(shape.parts, 0) / samples - share) for shape in _shapes(n))
     # six binomial standard errors of 1/p(8) at this many samples
     bound = 6.0 * math.sqrt(share * (1.0 - share) / samples)
-    # the rerun draws through the other entry point, one index at a time
-    rerun = Counter(
-        sampling.sample_partition(table, seed, i).parts for i in range(samples)
-    )
-    if rerun != counts:
-        return _fail({"seed": seed}, "rerun differs under fixed seed")
     return ({"n": n, "samples": samples, "seed": seed},
             worst <= bound, f"max frequency deviation {worst:.5f}")
 

@@ -110,6 +110,8 @@ def test_sample_is_pure_function_of_seed_and_index(seed, index):
     a = sp.sample_partition(table, seed, index)
     b = sp.sample_partition(table, seed, index)
     assert a == b and a.size == 12
+    reference = random.Random(sp._mix64(seed, index)).randrange(table.total)
+    assert a == sp.unrank_partition(table, reference)
 
 
 def test_samples_independent_of_visit_order():

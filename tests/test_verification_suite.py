@@ -83,8 +83,8 @@ def test_sampler_frequencies_pass_a_uniform_sampler_at_few_samples(samples, seed
 
 @pytest.mark.parametrize("samples, every", [(20000, 10), (100000, 10), (100000, 100)])
 def test_sampler_frequencies_fail_a_biased_sampler(monkeypatch, samples, every):
-    # rank 0 for one index in `every`, through both entry points: at one in a
-    # hundred its share is off by 0.0095, inside a fixed 0.01 bound
+    # rank 0 for one index in `every`: at one in a hundred its share is off
+    # by 0.0095, inside a fixed 0.01 bound
     draws = sampling._draws
 
     def biased(seed, index, bounds):
@@ -94,3 +94,45 @@ def test_sampler_frequencies_fail_a_biased_sampler(monkeypatch, samples, every):
     case = verify.check_sampler_frequencies(8, 3, samples)
     assert not case.passed
     assert case.detail.startswith("max frequency deviation")
+
+
+def test_sampler_frequencies_draw_each_sample_once(monkeypatch):
+    draws, calls = sampling._draws, []
+
+    def counted(seed, index, bounds):
+        calls.append(index)
+        return draws(seed, index, bounds)
+
+    def refused(*args):
+        raise AssertionError("sample_partition called")
+
+    monkeypatch.setattr(sampling, "_draws", counted)
+    monkeypatch.setattr(sampling, "sample_partition", refused)
+    assert verify.check_sampler_frequencies(8, 9, 1000).passed
+    assert calls == list(range(1000))
+
+
+def test_core_sum_difference_stays_at_its_stated_scale():
+    counting.clear_tables()
+    case = verify.check_core_sum_difference(counting.SERIES_MAX_N)
+    assert case.passed and case.params == {"max_n": 200}
+    assert all(len(values) <= 201 for (kind, _), values in counting._SERIES.items()
+               if kind in "cC")
+
+
+def test_core_sum_difference_catches_a_fault_the_recurrence_hides():
+    # one more 5-core of size 100 carried into every later C_5 on its
+    # residue class: C(n) - C(n - 5) = c(n) still holds
+    counting.clear_tables()
+    counting.core_sum_table(5, 200)
+    try:
+        counting._SERIES[("c", 5)][100] += 1
+        sums = counting._SERIES[("C", 5)]
+        for n in range(100, len(sums), 5):
+            sums[n] += 1
+        case = verify.check_core_sum_difference(200)
+    finally:
+        counting.clear_tables()
+    assert not case.passed
+    assert case.params == {"t": 5}
+    assert case.detail == "series vs product oracle mismatch"
