@@ -10,18 +10,20 @@ partitions is exactly uniform and every sample is a pure function of
 (seed, index).
 
 Row m of the table does not depend on n, so one list of rows, grown on demand,
-serves every n as a prefix.  Only the lower half of each row is stored; the
-upper half follows from one running sum of p.
+serves every n as a prefix.  Only the first quarter of each row is stored; the
+rest follows from Euler's identity and three running sums of p.
 """
 from __future__ import annotations
 
 import threading
 from _random import Random as _MersenneTwister
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
+from .counting import partition_count_table
 from .partitions import EMPTY, PartitionShape
 
 _MASK64 = (1 << 64) - 1
@@ -32,17 +34,24 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class SamplerTable:
     """The counts count(m, k) of partitions of m with every part <= k, m <= n.
 
-    rows[m] holds the lower half of row m, k = 0..m//2.  Above it a partition
-    of m with largest part j > m/2 leaves a remainder m - j < j that no cap
-    constrains, so count(m, k) = count(m, m//2) + sums[m - m//2] - sums[m - k]
-    with sums[i] = p(0) + ... + p(i - 1).  count() is the accessor for every
-    k >= 0 and clamps k >= m to p(m); total is p(n).  It refuses m outside
-    0..n and k < 0, which would read rows and sums from their ends.
+    rows[m] holds the first quarter of row m, k = 0..m//4.  Every larger k
+    follows from Euler's identity prod_{j>k} (1 - q^j) = sum_i (-1)^i
+    q^{ik + i(i+1)/2} / (q;q)_i (Andrews, The Theory of Partitions, ch. 2):
+    count(m, k) = sum_i (-1)^i S_i[m - ik], where S_i[x] is the coefficient
+    of q^x in q^{i(i+1)/2} / ((q;q)_i (q;q)_inf), so S_0 = p, S_i[x] = 0 for
+    x < i(i+1)/2 and S_i[x] = S_i[x - i] + S_{i-1}[x - i].  The term i is
+    zero unless m >= ik + i(i+1)/2, so for 4k > m - 10 only i <= 3 remain:
+    sums = S_1, that is sums[x] = p(0) + ... + p(x - 1), sums2 = S_2 and
+    sums3 = S_3, each held for x <= n + 1.  count() is the accessor for
+    every k >= 0 and clamps k >= m to p(m); total is p(n).  It refuses m
+    outside 0..n and k < 0, which would read rows and sums from their ends.
     """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
     sums: tuple[int, ...]
+    sums2: tuple[int, ...]
+    sums3: tuple[int, ...]
     total: int
 
     def count(self, m: int, k: int) -> int:
@@ -51,51 +60,68 @@ class SamplerTable:
         row = self.rows[m]
         if k < len(row):
             return row[k]
-        sums = self.sums
-        return row[-1] + sums[m - len(row) + 1] - sums[m - k if k < m else 0]
+        return _euler(self.sums, self.sums2, self.sums3, m, min(k, m))
 
 
-# The largest n build_sampler serves.  The half rows hold about n^2/4
+def _euler(sums, sums2, sums3, m: int, k: int) -> int:
+    """count(m, k) for (m - 10)/4 < k <= m by Euler's identity (see
+    SamplerTable), skipping the S_2 and S_3 terms where they are zero."""
+    count = sums[m + 1] - sums[m] - sums[m - k]
+    rest = m - 2 * k
+    if rest >= 3:
+        count += sums2[rest]
+        if rest - k >= 6:
+            count -= sums3[rest - k]
+    return count
+
+
+# The largest n build_sampler serves.  The quarter rows hold about n^2/8
 # integers of up to log2 p(n) bits; one process running
-# `sample --n N --count 10` peaks at about 160 MB of RSS for N = 3000 and
-# 280 MB for N = 4000.
+# `sample --n N --count 10` peaks at about 44 MB of RSS for N = 2000 and
+# 147 MB for N = 4000.
 SAMPLER_MAX_N = 4000
 
-# the half rows 0..len-1 and the prefix sums of p over them, sums[i] =
-# p(0) + ... + p(i - 1) for i <= len; shared by every table and extended in
-# place under the lock
+# the quarter rows 0..len-1 and S_1, S_2, S_3 through index len, shared by
+# every table and extended in place under the lock
 _LOCK = threading.Lock()
 _ROWS: list[tuple[int, ...]] = [(1,)]
 _SUMS: list[int] = [0, 1]
+_SUMS2: list[int] = [0, 0]
+_SUMS3: list[int] = [0, 0]
 
 
 def clear_tables() -> None:
     """Drop the grown rows; the next request rebuilds from scratch."""
     with _LOCK:
         del _ROWS[1:]
-        del _SUMS[2:]
+        for sums in (_SUMS, _SUMS2, _SUMS3):
+            del sums[2:]
 
 
 def _grow(n: int) -> None:
     """Extend the rows and sums through m = n.  Row m accumulates
-    count(m - k, k) over k = 1..m//2: a stored entry of row m - k while
-    k <= m/3, and p(m - k) - sums[m - 2k] beyond, where k > (m - k)/2."""
-    rows, sums = _ROWS, _SUMS
+    count(m - k, k) over k = 1..m//4: a stored entry of row m - k while
+    k <= m/5, and Euler's identity beyond, where 4k > m - k.  p comes from
+    the counting series."""
+    rows, sums, sums2, sums3 = _ROWS, _SUMS, _SUMS2, _SUMS3
+    if len(rows) > n:
+        return
+    p = partition_count_table(n).values
     for m in range(len(rows), n + 1):
-        third, half = m // 3, m // 2
-        smaller = [rows[m - k][k] for k in range(1, third + 1)]
-        smaller += [sums[m - k + 1] - sums[m - k] - sums[m - 2 * k]
-                    for k in range(third + 1, half + 1)]
-        row = tuple(accumulate(smaller, initial=0))
-        rows.append(row)
-        sums.append(sums[m] + row[-1] + sums[m - half])
+        fifth, quarter = m // 5, m // 4
+        smaller = [rows[m - k][k] for k in range(1, fifth + 1)]
+        smaller += [_euler(sums, sums2, sums3, m - k, k) for k in range(fifth + 1, quarter + 1)]
+        rows.append(tuple(accumulate(smaller, initial=0)))
+        sums.append(sums[m] + p[m])
+        sums2.append(sums2[m - 1] + sums[m - 1])
+        sums3.append(sums3[m - 2] + sums2[m - 2] if m >= 2 else 0)
 
 
 def build_sampler(n: int) -> SamplerTable:
     """The table for partitions of n, a prefix of the shared grown rows.
 
     n above SAMPLER_MAX_N is refused before anything is allocated: the table
-    at the cap alone takes about 280 MB.
+    at the cap alone adds about 130 MB of RSS.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -104,7 +130,8 @@ def build_sampler(n: int) -> SamplerTable:
     with _LOCK:
         _grow(n)
         total = _SUMS[n + 1] - _SUMS[n]
-        return SamplerTable(n, tuple(_ROWS[:n + 1]), tuple(_SUMS[:n + 2]), total)
+        return SamplerTable(n, tuple(_ROWS[:n + 1]), tuple(_SUMS[:n + 2]),
+                            tuple(_SUMS2[:n + 2]), tuple(_SUMS3[:n + 2]), total)
 
 
 def _descend(
@@ -115,8 +142,8 @@ def _descend(
 
     Ranks 0 .. p(n)-1 enumerate every partition of n exactly once: at each
     step the next (largest remaining) part j is the least value whose
-    cumulative count exceeds the rank.  A part above m/2 lies past the
-    stored half row; it is found by bisecting the prefix sums of p instead.
+    cumulative count exceeds the rank.  A part above m/4 lies past the
+    stored quarter row; it is found by bisecting Euler's identity instead.
     Once parts are capped at 2 the rest is closed form: count(m, 1) = 1, so
     rank r takes r twos, then ones.
 
@@ -132,7 +159,7 @@ def _descend(
     """
     if not 0 <= rank < table.total:
         raise ValueError(f"rank must lie in [0, {table.total}), got {rank}")
-    rows, sums = table.rows, table.sums
+    rows = table.rows
     m = cap = table.n
     parts = []
     row = column = 0
@@ -151,13 +178,10 @@ def _descend(
                 j = bisect_right(counts, rank)
                 rank -= counts[j - 1]
             else:
-                # count(m, j) = p(m) - sums[m - j] for j >= m/2: the part is
-                # j = m - i for the largest i with sums[i] < p(m) - rank
-                edge = m - len(counts) + 1
-                target = counts[-1] + sums[edge] - rank
-                i = bisect_left(sums, target, 0, edge) - 1
-                j = m - i
-                rank = sums[i + 1] - target
+                # the identity holds from k = m//4 on, the last stored entry
+                count = partial(_euler, table.sums, table.sums2, table.sums3, m)
+                j = bisect_right(range(min(cap, m) + 1), rank, len(counts), key=count)
+                rank -= count(j - 1)
             parts.append(j)
             m -= j
             cap = j

@@ -522,6 +522,10 @@ def check_expectation_trend(max_n: int):
     ratios = []
     for n in ns:
         exact, asym = distribution.expected_core_size(3, n)
+        # the sigma-series mean against the mean of the exact core-size law
+        pmf = distribution.core_size_pmf(3, n)
+        if exact != Fraction(sum(k * w for k, w in pmf.weights.items()), pmf.denominator):
+            return _fail({"n": n}, "sigma-series mean differs from the core-size law's")
         ratios.append(float(exact) / asym)
     ok = all(
         abs(ratios[i + 1] - 1.0) < abs(ratios[i] - 1.0) + 0.02
@@ -718,6 +722,10 @@ def check_residue_trend(max_n: int):
         xs = hookstats.exact_residue_distribution(3, n)
         if sum(xs) != 1:
             return _fail({"n": n}, "not normalized")
+        # the cells with hook divisible by 3 number 3 S_3(n) (Bacher-Manivel)
+        cells = n * counting.partition_count_table(n)[n]
+        if xs[0] != Fraction(3 * counting.sigma_sum_table(3, n)[n], cells):
+            return _fail({"n": n}, "residue 0 differs from 3 S_3(n) / (n p(n))")
         devs.append(max(abs(x - Fraction(1, 3)) for x in xs))
     ok = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
     if 40 in points:
@@ -738,8 +746,8 @@ def check_sampler_table(max_n: int):
     for m in range(limit + 1):
         if table.count(m, m) != p[m]:
             return _fail({"m": m}, "row total wrong")
-        # cells past m/2 are derived from sums of p, so the recurrence
-        # crosses the stored and the derived half of each row
+        # cells past m/4 come from Euler's identity, so the recurrence
+        # crosses the stored quarter and the derived rest of each row
         for k in range(1, m + 1):
             if table.count(m, k) != table.count(m, k - 1) + table.count(m - k, k):
                 return _fail({"m": m, "k": k}, "recurrence fails")

@@ -331,15 +331,12 @@ def test_verify_suite_csv(capsys):
     assert all(",true," in line for line in lines[1:])
 
 
-def test_verify_unknown_suite_is_usage_error(capsys):
-    assert run(["verify", "--suite", "unknown"]) == 2
-
-
 @pytest.mark.parametrize("argv", [
     "counts --t 3 --max-n -1 --series c",
     "counts --t 3 --max-n -1 --series d",
     "counts --t 3 --max-n 5 --series c,c",
     "verify --max-n -3",
+    "verify --suite unknown",
     "verify --suite sampling --max-n 3 --samples 0",
     "figure1 --grid-step 0",
     "figure1 --grid-step -0.1",

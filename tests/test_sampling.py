@@ -28,7 +28,8 @@ def dense_counts() -> tuple[tuple[int, ...], ...]:
 
 
 def assert_matches_dense(table: sp.SamplerTable) -> None:
-    # every cell through both the stored and the derived half, plus the clamp
+    # every cell through both the stored quarter and Euler's identity, plus
+    # the clamp
     n = table.n
     counts = tuple(tuple(table.count(m, k) for k in range(m + 2)) for m in range(n + 1))
     assert counts == dense_counts()[:n + 1]
@@ -135,6 +136,12 @@ def test_build_sampler_rejects_negative():
         sp.build_sampler(-1)
 
 
+def test_rows_hold_only_the_first_quarter():
+    # the layout behind the table's memory, counted in entries, not bytes
+    table = sp.build_sampler(ORACLE_N)
+    assert [len(row) for row in table.rows] == [m // 4 + 1 for m in range(ORACLE_N + 1)]
+
+
 def test_build_sampler_refuses_above_budget_without_building():
     sp.clear_tables()
     sp.build_sampler(5)
@@ -172,7 +179,7 @@ def test_unrank_matches_bisection_oracle_at_large_n():
 
 
 # every rank whose first part exceeds n/2, where unranking leaves the stored
-# half row and bisects the prefix sums of p
+# quarter row and Euler's identity keeps only its terms i <= 1
 @pytest.mark.parametrize("n", range(61))
 def test_unrank_matches_bisection_oracle_above_half_row(n):
     table = sp.build_sampler(n)
@@ -182,11 +189,14 @@ def test_unrank_matches_bisection_oracle_above_half_row(n):
 
 
 def test_unrank_matches_bisection_oracle_around_half_row_at_large_n():
+    # the ranks whose first part is near n/2 or near n/4, where the stored
+    # quarter row ends, and the largest ranks
     rows = dense_rows()
     for n in (*range(61, 81), ORACLE_N):
         table = sp.build_sampler(n)
-        edge = table.count(n, n // 2)
-        ranks = [*range(edge - 200, edge + 200), *range(table.total - 200, table.total)]
+        ranks = [rank for k in (n // 2, n // 4)
+                 for rank in range(table.count(n, k) - 200, table.count(n, k) + 200)]
+        ranks += range(table.total - 200, table.total)
         for rank in ranks:
             assert sp.unrank_partition(table, rank).parts == unrank_by_bisection(rows, n, rank)
 

@@ -136,3 +136,21 @@ def test_core_sum_difference_catches_a_fault_the_recurrence_hides():
     assert not case.passed
     assert case.params == {"t": 5}
     assert case.detail == "series vs product oracle mismatch"
+
+
+@pytest.mark.parametrize("check, n", [
+    *((verify.check_expectation_trend, n) for n in (25, 50, 100)),
+    *((verify.check_residue_trend, n) for n in (10, 20, 40)),
+])
+def test_sigma_series_cross_routes_catch_one_changed_coefficient(check, n):
+    # S_3(n) one too large: a trend cannot see it, the exact cross-route can
+    counting.clear_tables()
+    counting.sigma_sum_table(3, 100)
+    try:
+        counting._SERIES[("S", 3)][n] += 1
+        case = check(40)
+    finally:
+        counting.clear_tables()
+    assert not case.passed
+    assert case.params == {"n": n}
+    assert verify.check_expectation_trend(40).passed and verify.check_residue_trend(40).passed
