@@ -48,7 +48,6 @@ from .distribution import (
     scaled_moment,
 )
 from .hookstats import (
-    ResidueCensus,
     act_on_divisible,
     act_on_partition,
     b_smoothing,

@@ -137,13 +137,11 @@ def justify(word: AbacusWord) -> tuple[AbacusWord, int]:
 def split_runners(word: AbacusWord, t: int) -> TRunner:
     """Extract the t position classes mod t as 1-runner words."""
     _require_t(t)
-    length = len(word.window)
     runners = []
     for i in range(t):
         n_lo = -((i - word.offset) // t)  # ceil((offset - i) / t)
-        n_hi = (word.offset + length - 1 - i) // t
-        bits = [word.bit(n * t + i) for n in range(n_lo, n_hi + 1)]
-        runners.append(make_word(bits, n_lo))
+        # runner position n_lo is the first of class i inside the window
+        runners.append(make_word(word.window[n_lo * t + i - word.offset::t], n_lo))
     return TRunner(t, tuple(runners))
 
 

@@ -257,7 +257,7 @@ def _cmd_orbit(args, out) -> int:
     # the action moves bead pairs between runners without changing their
     # column spread, so each b-smoothing (b >= 0) is the same on the whole
     # orbit: take it once, from nu, which also checks nu before any output
-    smoothings = [_render_parts(hookstats.b_smoothing(nu, args.t, b).cells.parts)
+    smoothings = [_render_parts(hookstats.b_smoothing(nu, args.t, b).parts)
                   for b in range(max_b + 1)]
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
     words = ("".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1)))

@@ -76,22 +76,16 @@ def _upper_gamma_cont_frac(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = (lower incomplete gamma) / Gamma(a), to 1e-10 absolute."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x <= 0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cont_frac(a, x)
-
-
 def gamma_cdf(params: GammaParams, x: float) -> float:
-    """CDF of the gamma law: 0 for x < 0, else P(alpha, beta * x)."""
-    if x <= 0:
+    """CDF of the gamma law: P(alpha, y) at y = beta * x, where P(a, y) is
+    the lower incomplete gamma function over Gamma(a), to 1e-10 absolute.
+    Returns 0 when y <= 0, which covers x <= 0 and a product that underflows."""
+    a, y = params.alpha, params.beta * x
+    if y <= 0:
         return 0.0
-    return regularized_lower_gamma(params.alpha, params.beta * x)
+    if y < a + 1.0:
+        return _lower_gamma_series(a, y)
+    return 1.0 - _upper_gamma_cont_frac(a, y)
 
 
 def gamma_moment(params: GammaParams, k: int) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from operator import neg
@@ -34,24 +33,14 @@ def _require_divisible(nu: PartitionShape, t: int) -> tuple[PartitionShape, ...]
     return quot
 
 
-@dataclass(frozen=True)
-class ResidueCensus:
-    """Per-residue hook counts: counts[i] = #cells with hook = i mod t."""
-
-    t: int
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def residue_census(shape: PartitionShape, t: int) -> ResidueCensus:
+def residue_census(shape: PartitionShape, t: int) -> tuple[int, ...]:
+    """Per-residue hook counts: entry i is the number of cells whose hook
+    length is i mod t, so the entries sum to the size of the shape."""
     _require_t(t)
     counts = [0] * t
     for h in hook_lengths(shape):
         counts[h % t] += 1
-    return ResidueCensus(t, tuple(counts))
+    return tuple(counts)
 
 
 def small_hook_count(shape: PartitionShape, m: int) -> int:
@@ -173,24 +162,14 @@ def s_t_orbit(nu: PartitionShape, t: int) -> list[PartitionShape]:
 # smoothings and the cell injection
 
 
-@dataclass(frozen=True)
-class SmoothedRegion:
-    """Cells of a t-divisible parent whose bead pairs are over b columns
-    apart; always a connected subpartition of the parent."""
-
-    b: int
-    cells: PartitionShape
-    parent: PartitionShape
-
-
-def b_smoothing(nu: PartitionShape, t: int, b: int) -> SmoothedRegion:
-    """Cells of nu whose (0,1) abacus pairs sit at least b+1 runner columns
-    apart; b = -1 returns nu itself."""
+def b_smoothing(nu: PartitionShape, t: int, b: int) -> PartitionShape:
+    """Cells of the t-divisible nu whose (0,1) abacus pairs sit at least b+1
+    runner columns apart, as a subpartition of nu; b = -1 returns nu itself."""
     _require_t(t)
     if b < -1:
         raise ValueError("b must be at least -1")
     _require_divisible(nu, t)
-    return SmoothedRegion(b, _smoothing_cells(nu, t, b), nu)
+    return _smoothing_cells(nu, t, b)
 
 
 def _smoothing_cells(nu: PartitionShape, t: int, b: int) -> PartitionShape:

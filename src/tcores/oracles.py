@@ -20,7 +20,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import abacus
 from .counting import f_t
@@ -152,31 +152,36 @@ def lattice_covolume(t: int) -> float:
     return math.sqrt(float(det))
 
 
-def c3_divisor_oracle(n: int) -> int:
-    """Number of 3-cores of n via the divisor sum over 3n + 1.
+def c3_divisor_counts(max_n: int) -> tuple[int, ...]:
+    """Numbers of 3-cores of 0..max_n via the divisor sums over 3n + 1.
 
-    Each divisor contributes +1 when congruent to 1 mod 3 and -1 when
-    congruent to 2 mod 3.
+    One sieve over m <= 3 max_n + 1: each divisor d of m contributes +1 when
+    d = 1 mod 3 and -1 when d = 2 mod 3.  As d^2 = 1 mod 3, the multiples of
+    d that are 1 mod 3 start at d * (d mod 3) and step by 3d, so their n step
+    by d.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    m = 3 * n + 1
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            for div in {d, m // d}:
-                r = div % 3
-                if r == 1:
-                    total += 1
-                elif r == 2:
-                    total -= 1
-        d += 1
-    return total
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    counts = [0] * (max_n + 1)
+    for d in range(1, 3 * max_n + 2):
+        r = d % 3
+        if r:
+            sign = 1 if r == 1 else -1
+            for n in range((d * r - 1) // 3, max_n + 1, d):
+                counts[n] += sign
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
 # cores, quotients and the action without the core/quotient division
+
+
+def _hook_cells(shape: PartitionShape, t: int) -> Iterator[Cell]:
+    # the cells of hook length t, row by row, read off the diagram alone;
+    # hooks is row-major too, so each cell takes the next hook length
+    hooks = iter(hook_lengths(shape))
+    return (Cell(r, c) for r, width in enumerate(shape.parts, start=1)
+            for c in range(1, width + 1) if next(hooks) == t)
 
 
 def core_by_rim_stripping(shape: PartitionShape, t: int) -> PartitionShape:
@@ -184,21 +189,9 @@ def core_by_rim_stripping(shape: PartitionShape, t: int) -> PartitionShape:
     not matter, so this is the t-core."""
     _require_t(t)
     current = shape
-    while True:
-        hooks = hook_lengths(current)
-        target = None
-        idx = 0
-        for r, width in enumerate(current.parts, start=1):
-            for c in range(1, width + 1):
-                if hooks[idx] == t:
-                    target = (r, c)
-                    break
-                idx += 1
-            if target:
-                break
-        if target is None:
-            return current
+    while (target := next(_hook_cells(current, t), None)) is not None:
         current = remove_rim_hook(current, target)
+    return current
 
 
 def all_stripping_results(shape: PartitionShape, t: int) -> set[PartitionShape]:
@@ -207,20 +200,10 @@ def all_stripping_results(shape: PartitionShape, t: int) -> set[PartitionShape]:
     @lru_cache(maxsize=None)
     def explore(parts: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
         current = PartitionShape(parts)
-        hooks = hook_lengths(current)
-        targets = []
-        idx = 0
-        for r, width in enumerate(parts, start=1):
-            for c in range(1, width + 1):
-                if hooks[idx] == t:
-                    targets.append(Cell(r, c))
-                idx += 1
-        if not targets:
-            return frozenset({parts})
         results: set[tuple[int, ...]] = set()
-        for cell in targets:
+        for cell in _hook_cells(current, t):
             results |= explore(remove_rim_hook(current, cell).parts)
-        return frozenset(results)
+        return frozenset(results or {parts})
 
     return {PartitionShape(p) for p in explore(shape.parts)}
 

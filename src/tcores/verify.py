@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from . import abacus, counting, distribution, hookstats, oracles, sampling
 from .corequotient import (
@@ -26,6 +26,7 @@ from .corequotient import (
     decompose,
     is_core,
     justification_vector,
+    quotient,
 )
 from .partitions import (
     EMPTY,
@@ -136,6 +137,7 @@ def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
 
 @_check("partitions", "hook_multiset_conjugation")
 def check_hook_multisets(max_n: int):
+    """Hooks of each shape against its conjugate's hooks, n <= 30."""
     limit = min(max_n, 30)
     for n in range(limit + 1):
         for shape, hooks in zip(_shapes(n), _hooks(n)):
@@ -147,6 +149,7 @@ def check_hook_multisets(max_n: int):
 
 @_check("partitions", "arm_leg_hook")
 def check_arm_leg_hook(max_n: int):
+    """arm + leg + 1 against hook_length cell by cell, n <= 14."""
     limit = min(max_n, 14)
     for n in range(limit + 1):
         for shape in _shapes(n):
@@ -159,6 +162,7 @@ def check_arm_leg_hook(max_n: int):
 
 @_check("partitions", "rim_hook_removal")
 def check_rim_hook_removal(max_n: int):
+    """Sizes after the rim walk against n minus the hook, n <= 14."""
     limit = min(max_n, 14)
     for n in range(limit + 1):
         for shape in _shapes(n):
@@ -172,6 +176,7 @@ def check_rim_hook_removal(max_n: int):
 
 @_check("partitions", "enumeration_count")
 def check_enumeration_count(max_n: int):
+    """Enumerated partitions against the p series, n <= 40."""
     limit = min(max_n, 40)
     table = counting.partition_count_table(limit)
     for n in range(limit + 1):
@@ -186,6 +191,7 @@ def check_enumeration_count(max_n: int):
 
 @_check("abacus", "abacus_pair_statistics")
 def check_pair_statistics(max_n: int):
+    """Bit-word pair spans and bit counts against hooks, arms and legs, n <= 25."""
     limit = min(max_n, 25)
     for n in range(limit + 1):
         for shape in _shapes(n):
@@ -193,12 +199,11 @@ def check_pair_statistics(max_n: int):
             pairs = abacus.inversion_pairs(word)
             if len(pairs) != n:
                 return _fail({"n": n}, f"pair count at {shape.parts}")
-            stats = sorted(
-                (j - i,
-                 sum(1 for k in range(i + 1, j) if word.bit(k) == 0),
-                 sum(1 for k in range(i + 1, j) if word.bit(k) == 1))
-                for i, j in pairs
-            )
+            # the leg counts the 1s strictly between the pair, the arm its 0s
+            ones = list(accumulate(word.window, initial=0))
+            legs = [ones[j - word.offset] - ones[i - word.offset] for i, j in pairs]
+            stats = sorted((j - i, j - i - 1 - leg, leg)
+                           for (i, j), leg in zip(pairs, legs))
             cells = sorted(
                 (hook_length(shape, c), arm_length(shape, c), leg_length(shape, c))
                 for c in shape.cells()
@@ -210,6 +215,7 @@ def check_pair_statistics(max_n: int):
 
 @_check("abacus", "abacus_swap_rim_hook")
 def check_swap_is_rim_hook(max_n: int):
+    """Swapping a bead pair t apart against the rim walk, n <= 20, t = 2..5."""
     limit = min(max_n, 20)
     ts = [2, 3, 4, 5]
     for n in range(limit + 1):
@@ -222,18 +228,18 @@ def check_swap_is_rim_hook(max_n: int):
                 for c in range(1, width + 1):
                     h = hook_length(shape, Cell(r, c))
                     beads[(j_pos - h, j_pos)] = Cell(r, c)
+            window = word.window
             for t in ts:
-                lo = word.offset - 1
-                hi = word.offset + len(word.window)
-                for i in range(lo, hi + 1):
-                    if word.bit(i) == 0 and word.bit(i + t) == 1:
-                        bits = [
-                            1 - word.bit(k) if k in (i, i + t) else word.bit(k)
-                            for k in range(lo, hi + t + 1)
-                        ]
+                # the word is 1 below its window and 0 above it, so a 0 with a
+                # 1 t places on lies inside the window
+                for k in range(len(window) - t):
+                    if window[k] == 0 and window[k + t] == 1:
+                        bits = list(window)
+                        bits[k], bits[k + t] = 1, 0
                         swapped = abacus.partition_from_abacus(
-                            abacus.make_word(bits, lo)
+                            abacus.make_word(bits, word.offset)
                         )
+                        i = word.offset + k
                         expected = remove_rim_hook(shape, beads[(i, i + t)])
                         if swapped != expected:
                             return _fail({"n": n, "t": t},
@@ -243,6 +249,7 @@ def check_swap_is_rim_hook(max_n: int):
 
 @_check("abacus", "abacus_roundtrip")
 def check_word_roundtrip(max_n: int):
+    """The bit-word module against itself (no independent route), n <= 25."""
     limit = min(max_n, 25)
     for n in range(limit + 1):
         for shape in _shapes(n):
@@ -266,6 +273,7 @@ def check_word_roundtrip(max_n: int):
 
 @_check("corequotient", "core_properties")
 def check_core_properties(max_n: int):
+    """The core against the hook criterion (no hook divisible by t), n <= 25."""
     limit = min(max_n, 25)
     ts = [2, 3, 4, 5, 6]
     idempotent = set()  # (t, core) pairs already checked
@@ -290,6 +298,7 @@ def check_core_properties(max_n: int):
 
 @_check("corequotient", "fixed_core_counts")
 def check_fixed_core_counts(max_n: int):
+    """Enumerated core sizes against c_t(i) d_t(n - i), n <= 25, t = 2..5."""
     limit = min(max_n, 25)
     ts = [2, 3, 4, 5]
     for t in ts:
@@ -305,6 +314,7 @@ def check_fixed_core_counts(max_n: int):
 
 @_check("corequotient", "division_bijection")
 def check_division_bijection(max_n: int):
+    """_divide against split_runners and justify on each runner, n <= 22, t = 2..5."""
     limit = min(max_n, 22)
     ts = [2, 3, 4, 5]
     for t in ts:
@@ -324,11 +334,20 @@ def check_division_bijection(max_n: int):
                 seen.add(key)
                 if compose(dc.core, dc.quotient, t) != shape:
                     return _fail({"n": n, "t": t}, f"round trip fails at {shape.parts}")
+                word = abacus.abacus_from_partition(shape)
+                runners = abacus.split_runners(word, t).runners
+                if (justification_vector(shape, t)
+                        != tuple(abacus.justify(r)[1] for r in runners)
+                        or quotient(shape, t)
+                        != tuple(abacus.partition_from_abacus(r) for r in runners)):
+                    return _fail({"n": n, "t": t},
+                                 f"runner route differs at {shape.parts}")
     return {"max_n": limit, "t": ts}
 
 
 @_check("corequotient", "greedy_strip_oracle")
 def check_strip_oracle(max_n: int):
+    """The core against greedy rim-hook stripping, n <= 16, t = 2..5."""
     limit = min(max_n, 16)
     ts = [2, 3, 4, 5]
     for n in range(limit + 1):
@@ -345,6 +364,7 @@ def check_strip_oracle(max_n: int):
 
 @_check("counting", "triple_oracle")
 def check_triple_oracle(max_n: int):
+    """c_t against lattice points of f_t (n <= 30..60) and enumeration (n <= 30)."""
     gf_limit = max(min(max_n * 2, 60), 30)
     enum_limit = min(max_n, 30)
     for t in (2, 3, 4, 5, 6):
@@ -361,6 +381,7 @@ def check_triple_oracle(max_n: int):
 
 @_check("counting", "core_sum_census")
 def check_core_sum_census(max_n: int):
+    """C_t against the distinct cores of enumerated partitions, n <= 30, t = 2..5."""
     limit = min(max_n, 30)
     ts = [2, 3, 4, 5]
     for t in ts:
@@ -374,6 +395,7 @@ def check_core_sum_census(max_n: int):
 
 @_check("counting", "core_sum_difference")
 def check_core_sum_difference(max_n: int):
+    """C_t against dense products of Euler factors, n <= 200, t = 2..6."""
     # C is built by this recurrence, so the dense products check it too
     limit = 200
     for t in (2, 3, 4, 5, 6):
@@ -390,6 +412,7 @@ def check_core_sum_difference(max_n: int):
 
 @_check("counting", "growth_ratio")
 def check_growth_ratio(max_n: int):
+    """c_t(n) against the bound 1.5 n^((t-2)/2), n <= 1600, t = 3..5."""
     # observed maxima are 2^(1/2) at t=3 and exactly 1 at t=4,5
     ts = [3, 4, 5]
     horizons = [100, 400, 1600]
@@ -404,6 +427,7 @@ def check_growth_ratio(max_n: int):
 
 @_check("counting", "justification_form")
 def check_justification_form(max_n: int):
+    """f_t of each core's justification vector against its size, n <= 30, t = 2..5."""
     limit = min(max_n, 30)
     ts = [2, 3, 4, 5]
     for n in range(limit + 1):
@@ -419,6 +443,7 @@ def check_justification_form(max_n: int):
 
 @_check("counting", "mod_solution_counts")
 def check_mod_counts(max_n: int):
+    """Residue-class solution counts of f_t against t^(t-2), t = 2..5."""
     ts = [2, 3, 4, 5]
     for t in ts:
         for residue in range(t):
@@ -431,16 +456,18 @@ def check_mod_counts(max_n: int):
 
 @_check("counting", "c3_divisor_oracle")
 def check_divisor_oracle(max_n: int):
+    """c_3 against divisor sums over 3n + 1 from one sieve, n <= max(max_n, 200)."""
     limit = max(max_n, 200)
     table = counting.core_count_table(3, limit)
-    for n in range(limit + 1):
-        if oracles.c3_divisor_oracle(n) != table[n]:
+    for n, count in enumerate(oracles.c3_divisor_counts(limit)):
+        if count != table[n]:
             return _fail({"n": n}, "mismatch")
     return {"max_n": limit}
 
 
 @_check("counting", "volume_identities")
 def check_volume_identities(max_n: int):
+    """Leading terms against lattice ball volumes, t = 2..8, and p(100) to 5%."""
     ts = range(2, 9)
     for t in ts:
         cov = oracles.lattice_covolume(t)
@@ -466,6 +493,7 @@ def check_volume_identities(max_n: int):
 
 @_check("distribution", "pmf_exhaustive")
 def check_pmf_exhaustive(max_n: int):
+    """Each core-size mass against enumerated partitions' cores, n <= 22, t = 2..5."""
     limit = min(max_n, 22)
     ts = [2, 3, 4, 5]
     for t in ts:
@@ -483,6 +511,7 @@ def check_pmf_exhaustive(max_n: int):
 
 @_check("distribution", "gamma_function")
 def check_gamma_function(max_n: int):
+    """The gamma CDF against the exponential and erf closed forms at six points."""
     beta = math.pi / math.sqrt(6.0)
     for x in (0.25, 0.5, 1.0, 2.0, 5.0, 12.0):
         g = distribution.gamma_cdf(distribution.GammaParams(1.0, beta), x)
@@ -502,6 +531,7 @@ def check_gamma_function(max_n: int):
 
 @_check("distribution", "distance_trend")
 def check_distance_trend(max_n: int):
+    """The CDF distance to the gamma limit shrinks, t = 5, n = 20, 62, 103."""
     ns = [20, 62, 103]
     params = distribution.gamma_params(5)
     dists = [
@@ -515,6 +545,7 @@ def check_distance_trend(max_n: int):
 
 @_check("distribution", "expectation_trend")
 def check_expectation_trend(max_n: int):
+    """The sigma-series mean against the core-size law's, t = 3, n = 25, 50, 100."""
     exact100, asym100 = distribution.expected_core_size(3, 100)
     if abs(float(exact100) - asym100) / asym100 > 0.15:
         return _fail({"n": 100}, "exact mean beyond 15% of asymptote")
@@ -537,6 +568,7 @@ def check_expectation_trend(max_n: int):
 
 @_check("distribution", "moment_trend")
 def check_moment_trend(max_n: int):
+    """Scaled moments approach the gamma moments, t = 3, n = 100, 400, 1600."""
     ks = [1, 2, 3]
     params = distribution.gamma_params(3)
     pmfs = [distribution.core_size_pmf(3, n) for n in (100, 400, 1600)]
@@ -555,6 +587,7 @@ def check_moment_trend(max_n: int):
 
 @_check("hookstats", "residue_identities")
 def check_residue_identities(max_n: int):
+    """Each residue census against its core's census, n <= 22, t = 2..6."""
     limit = min(max_n, 22)
     ts = [2, 3, 4, 5, 6]
     for n in range(limit + 1):
@@ -562,8 +595,8 @@ def check_residue_identities(max_n: int):
         for i, shape in enumerate(_shapes(n)):
             for t, rhos in zip(ts, cores):
                 rho = rhos[i]
-                counts = hookstats.residue_census(shape, t).counts
-                core_counts = hookstats.residue_census(rho, t).counts
+                counts = hookstats.residue_census(shape, t)
+                core_counts = hookstats.residue_census(rho, t)
                 moved = (n - rho.size) // t
                 if counts[0] != moved:
                     return _fail({"n": n, "t": t}, f"residue-0 count at {shape.parts}")
@@ -582,6 +615,7 @@ def check_residue_identities(max_n: int):
 
 @_check("hookstats", "orbit_table")
 def check_orbit_table(max_n: int):
+    """Images and smoothings of (7, 3, 2) against a hand-computed table, t = 3."""
     nu, t = make_partition([7, 3, 2]), 3
     expected_rows = {
         "123": (7, 3, 2),
@@ -598,7 +632,7 @@ def check_orbit_table(max_n: int):
         if image.parts != parts:
             return _fail({"word": word}, f"image {image.parts}, want {parts}")
         for b, cells in expected_smoothings.items():
-            got = hookstats.b_smoothing(image, t, b).cells.parts
+            got = hookstats.b_smoothing(image, t, b).parts
             if got != cells:
                 return _fail({"word": word, "b": b}, f"smoothing {got}, want {cells}")
     return {"nu": list(nu.parts), "t": t}
@@ -606,6 +640,7 @@ def check_orbit_table(max_n: int):
 
 @_check("hookstats", "orbit_equidistribution")
 def check_orbit_equidistribution(max_n: int):
+    """Smoothing cells' diagram hooks balance over each orbit, size <= 24, t = 3."""
     limit = min(max_n, 24)
     t = 3
     for m in range(0, limit + 1, t):
@@ -621,7 +656,7 @@ def check_orbit_equidistribution(max_n: int):
                 totals = [0] * t
                 empty_everywhere = True
                 for member in orbit:
-                    region = hookstats.b_smoothing(member, t, b).cells
+                    region = hookstats.b_smoothing(member, t, b)
                     if region.size:
                         empty_everywhere = False
                     for cell in region.cells():
@@ -637,6 +672,7 @@ def check_orbit_equidistribution(max_n: int):
 
 @_check("hookstats", "action_properties")
 def check_action_properties(max_n: int):
+    """The quotient action against runner shifts, n <= 14, t = 2, 3."""
     limit = min(max_n, 14)
     ts = [2, 3]
     for n in range(limit + 1):
@@ -661,6 +697,7 @@ def check_action_properties(max_n: int):
 
 @_check("hookstats", "smoothing_bounds")
 def check_smoothing_bounds(max_n: int):
+    """Canonical smoothings against the spread and small-hook bounds, n <= 20."""
     limit = min(max_n, 20)
     ts = [2, 3, 4, 5]
     for n in range(limit + 1):
@@ -681,6 +718,7 @@ def check_smoothing_bounds(max_n: int):
 
 @_check("hookstats", "small_hook_bound")
 def check_small_hook_bound(max_n: int):
+    """Hooks below m against the bound m sqrt(2n), n <= 30."""
     limit = min(max_n, 30)
     for n in range(1, limit + 1):
         root = math.sqrt(2.0 * n)
@@ -697,6 +735,7 @@ def check_small_hook_bound(max_n: int):
 
 @_check("hookstats", "phi_injection")
 def check_phi_injection(max_n: int):
+    """phi against the diagram hooks at both ends of each cell, n <= 18, t = 2..4."""
     limit = min(max_n, 18)
     ts = [2, 3, 4]
     for n in range(limit + 1):
@@ -716,6 +755,7 @@ def check_phi_injection(max_n: int):
 
 @_check("hookstats", "residue_trend")
 def check_residue_trend(max_n: int):
+    """Residue 0 of the hook law against 3 S_3(n) / (n p(n)), n = 10, 20, 40."""
     points = [n for n in (10, 20, 40) if n <= max(max_n, 20)]
     devs = []
     for n in points:
@@ -740,6 +780,7 @@ def check_residue_trend(max_n: int):
 
 @_check("sampling", "sampler_table")
 def check_sampler_table(max_n: int):
+    """Sampler row totals against p(m) and the cell recurrence, m <= 40..100."""
     limit = min(max(max_n, 40), 100)
     table = sampling.build_sampler(limit)
     p = counting.partition_count_table(limit)
@@ -756,6 +797,7 @@ def check_sampler_table(max_n: int):
 
 @_check("sampling", "unrank_bijection")
 def check_unrank_bijection(max_n: int):
+    """Unranked partitions against enumeration, n <= 10."""
     limit = 10
     for n in range(limit + 1):
         table = sampling.build_sampler(n)
@@ -767,6 +809,7 @@ def check_unrank_bijection(max_n: int):
 
 @_check("sampling", "sampler_frequencies")
 def check_sampler_frequencies(max_n: int, seed: int, samples: int):
+    """Drawn frequencies against 1/p(8) within six standard errors, n = 8."""
     n = 8
     table = sampling.build_sampler(n)
     # p(8) = 22 distinct ranks: each is unranked once, however often drawn

@@ -1,8 +1,7 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, strategies as st
 
+from partition_strategies import partitions
 from tcores.abacus import (
     AbacusWord,
     TRunner,
@@ -27,18 +26,6 @@ from tcores.partitions import (
 
 RUNNING = make_partition([5, 4, 4, 2, 1])
 RUNNING_WORD = AbacusWord((0, 1, 0, 1, 0, 0, 1, 1, 0, 1), -5)
-
-
-@st.composite
-def partitions(draw, max_n=30):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    if n == 0:
-        return EMPTY
-    bins = draw(st.integers(min_value=1, max_value=n))
-    counts = Counter(
-        draw(st.lists(st.integers(0, bins - 1), min_size=n, max_size=n))
-    )
-    return make_partition(sorted(counts.values(), reverse=True))
 
 
 @st.composite
@@ -163,7 +150,7 @@ def test_justification_positions_examples():
     assert core(RUNNING, 3) == make_partition([2, 1, 1])
 
 
-@given(partitions())
+@given(partitions(max_n=30))
 def test_roundtrip_on_random_partitions(shape):
     word = abacus_from_partition(shape)
     assert partition_from_abacus(word) == shape

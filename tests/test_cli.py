@@ -221,7 +221,7 @@ def test_orbit_rows_match_action_and_smoothing(capsys, t):
             for word in words:
                 image = act_on_divisible(permutation_from_word(word), nu, t)
                 expected.append(",".join([word, _render(image), *(
-                    _render(b_smoothing(image, t, b).cells) for b in range(2 * t + 1))]))
+                    _render(b_smoothing(image, t, b)) for b in range(2 * t + 1))]))
             assert out.splitlines()[1:] == expected
 
 
@@ -233,7 +233,7 @@ def test_orbit_takes_max_b_up_to_the_cap(capsys):
     assert len(lines) == 5041
     assert lines[0].split(",")[-1] == f"C^{ORBIT_MAX_B}"
     nu = make_partition([7])
-    smoothings = [_render(b_smoothing(nu, 7, b).cells) for b in range(ORBIT_MAX_B + 1)]
+    smoothings = [_render(b_smoothing(nu, 7, b)) for b in range(ORBIT_MAX_B + 1)]
     for line in lines[1:]:
         assert line.split(",")[2:] == smoothings
 

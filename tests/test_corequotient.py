@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partition_strategies import partitions
 from tcores.corequotient import (
     CoreQuotient,
     compose,
@@ -25,18 +26,6 @@ from tcores.partitions import (
 )
 
 RUNNING = make_partition([5, 4, 4, 2, 1])
-
-
-@st.composite
-def partitions(draw, max_n=24):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    if n == 0:
-        return EMPTY
-    bins = draw(st.integers(min_value=1, max_value=n))
-    counts = Counter(
-        draw(st.lists(st.integers(0, bins - 1), min_size=n, max_size=n))
-    )
-    return make_partition(sorted(counts.values(), reverse=True))
 
 
 def test_core_running_examples():
@@ -95,7 +84,7 @@ def test_compose_rejects_non_core():
         compose(EMPTY, (EMPTY,) * 2, 3)
 
 
-@given(partitions(), st.integers(2, 5))
+@given(partitions(max_n=24), st.integers(2, 5))
 @settings(max_examples=150)
 def test_division_round_trip(shape, t):
     dc = decompose(shape, t)

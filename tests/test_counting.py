@@ -300,11 +300,10 @@ def test_leading_term_tracks_core_sums():
 
 
 def test_c3_divisor_oracle():
-    assert oracles.c3_divisor_oracle(1) == 1   # divisors of 4: +1 -1 +1
-    assert oracles.c3_divisor_oracle(3) == 0   # divisors of 10: +1 -1 -1 +1
-    table = counting.core_count_table(3, 200)
-    for n in range(201):
-        assert oracles.c3_divisor_oracle(n) == table[n]
+    counts = oracles.c3_divisor_counts(200)
+    assert counts[1] == 1   # divisors of 4: +1 -1 +1
+    assert counts[3] == 0   # divisors of 10: +1 -1 -1 +1
+    assert counts == counting.core_count_table(3, 200).values
 
 
 def test_asymptotic_estimates():

@@ -74,6 +74,8 @@ def test_gamma_cdf_limits():
     params = dist.gamma_params(4)
     assert dist.gamma_cdf(params, 0.0) == 0.0
     assert dist.gamma_cdf(params, -1.0) == 0.0
+    # beta * x underflows to 0 although x > 0
+    assert dist.gamma_cdf(dist.GammaParams(1.0, 1e-300), 1e-300) == 0.0
     assert abs(dist.gamma_cdf(params, 60.0) - 1.0) < 1e-12
 
 

@@ -34,15 +34,15 @@ ORBIT_TABLE = {
 
 
 def test_census_worked_example():
-    assert hs.residue_census(make_partition([6, 4, 3, 1]), 4).counts == (3, 5, 4, 2)
-    assert hs.residue_census(make_partition([6, 4]), 4).counts == (2, 3, 3, 2)
-    assert hs.residue_census(EMPTY, 3).counts == (0, 0, 0)
+    assert hs.residue_census(make_partition([6, 4, 3, 1]), 4) == (3, 5, 4, 2)
+    assert hs.residue_census(make_partition([6, 4]), 4) == (2, 3, 3, 2)
+    assert hs.residue_census(EMPTY, 3) == (0, 0, 0)
 
 
 def test_census_total_is_size():
     shape = make_partition([5, 4, 4, 2, 1])
     for t in (2, 3, 4, 5):
-        assert hs.residue_census(shape, t).total == 16
+        assert sum(hs.residue_census(shape, t)) == 16
 
 
 def test_small_hook_count_examples():
@@ -226,10 +226,10 @@ def test_orbit_listing():
 
 
 def test_smoothing_worked_example():
-    assert hs.b_smoothing(NU, 3, 0).cells.parts == (7, 2)
-    assert hs.b_smoothing(NU, 3, 1).cells.parts == (4,)
-    assert hs.b_smoothing(NU, 3, 2).cells.parts == (2,)
-    assert hs.b_smoothing(NU, 3, -1).cells == NU
+    assert hs.b_smoothing(NU, 3, 0).parts == (7, 2)
+    assert hs.b_smoothing(NU, 3, 1).parts == (4,)
+    assert hs.b_smoothing(NU, 3, 2).parts == (2,)
+    assert hs.b_smoothing(NU, 3, -1) == NU
 
 
 def test_smoothing_invariant_on_orbit():
@@ -240,9 +240,9 @@ def test_smoothing_invariant_on_orbit():
             for nu in enumerate_partitions(m):
                 if core(nu, t) != EMPTY:
                     continue
-                smoothings = [hs.b_smoothing(nu, t, b).cells for b in range(m + 2)]
+                smoothings = [hs.b_smoothing(nu, t, b) for b in range(m + 2)]
                 for member in hs.s_t_orbit(nu, t):
-                    assert [hs.b_smoothing(member, t, b).cells
+                    assert [hs.b_smoothing(member, t, b)
                             for b in range(m + 2)] == smoothings
 
 
@@ -267,7 +267,7 @@ def test_smoothing_keeps_the_pairs_over_b_columns_apart(t):
                 continue
             spans = {cell: span(nu, cell) for cell in nu.cells()}
             for b in range(-1, m + 1):
-                kept = set(hs.b_smoothing(nu, t, b).cells.cells())
+                kept = set(hs.b_smoothing(nu, t, b).cells())
                 assert kept == {cell for cell, span in spans.items() if span >= b + 1}
 
 
@@ -277,7 +277,7 @@ def test_smoothing_is_subpartition():
             if core(nu, 3) != EMPTY:
                 continue
             for b in range(-1, 6):
-                cells = hs.b_smoothing(nu, 3, b).cells
+                cells = hs.b_smoothing(nu, 3, b)
                 assert all(
                     cells.parts[i] <= nu.parts[i] for i in range(len(cells.parts))
                 )
@@ -292,7 +292,7 @@ def test_canonical_smoothing_example():
 def test_canonical_smoothing_divisible_input():
     b, cells = hs.canonical_smoothing(NU, 3)
     assert b == 0
-    assert cells == hs.b_smoothing(NU, 3, 0).cells
+    assert cells == hs.b_smoothing(NU, 3, 0)
 
 
 @pytest.mark.parametrize("n", range(15))
@@ -356,8 +356,8 @@ def test_coverage_bound_equality_case():
 def test_residue_identities_exhaustive(n, t):
     for shape in enumerate_partitions(n):
         rho = core(shape, t)
-        counts = hs.residue_census(shape, t).counts
-        core_counts = hs.residue_census(rho, t).counts
+        counts = hs.residue_census(shape, t)
+        core_counts = hs.residue_census(rho, t)
         moved = (n - rho.size) // t
         assert counts[0] == moved
         for r in range(1, t):
@@ -374,7 +374,7 @@ def test_orbit_equidistribution_hand_check():
     # nonzero residues 1 and 2 three times each
     totals = [0, 0, 0]
     for member in hs.s_t_orbit(NU, 3):
-        region = hs.b_smoothing(member, 3, 2).cells
+        region = hs.b_smoothing(member, 3, 2)
         for cell in region.cells():
             totals[hook_length(member, cell) % 3] += 1
     assert totals[1] == totals[2] == 3

@@ -1,8 +1,7 @@
-from collections import Counter
-
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from partition_strategies import partitions
 from tcores.partitions import (
     EMPTY,
     Cell,
@@ -21,19 +20,6 @@ RUNNING = make_partition([5, 4, 4, 2, 1])
 
 # hook numbers of (5,4,4,2,1), row-major
 RUNNING_HOOKS = (9, 7, 5, 4, 1, 7, 5, 3, 2, 6, 4, 2, 1, 3, 1, 1)
-
-
-@st.composite
-def partitions(draw, max_n=40):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    if n == 0:
-        return EMPTY
-    bins = draw(st.integers(min_value=1, max_value=n))
-    assignment = draw(
-        st.lists(st.integers(min_value=0, max_value=bins - 1), min_size=n, max_size=n)
-    )
-    counts = Counter(assignment)
-    return make_partition(sorted(counts.values(), reverse=True))
 
 
 def test_make_partition_running_example():
@@ -66,7 +52,7 @@ def test_conjugate_edge_cases():
     assert conjugate(make_partition([6])).parts == (1,) * 6
 
 
-@given(partitions())
+@given(partitions(max_n=40))
 def test_conjugate_involution(shape):
     flipped = conjugate(shape)
     assert flipped.size == shape.size

@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from tcores import cli, counting, sampling, verify
+from tcores import cli, corequotient, counting, sampling, verify
 
 
 def test_all_suites_pass_at_full_scale(full_report):
@@ -110,6 +110,23 @@ def test_sampler_frequencies_draw_each_sample_once(monkeypatch):
     monkeypatch.setattr(sampling, "sample_partition", refused)
     assert verify.check_sampler_frequencies(8, 9, 1000).passed
     assert calls == list(range(1000))
+
+
+def test_division_bijection_catches_a_reversed_quotient(monkeypatch):
+    # _assemble undoes the reversal, so every round trip still holds; only
+    # the runner route sees the quotient's components out of order
+    divide, assemble = corequotient._divide, corequotient._assemble
+
+    def reversed_divide(shape, t):
+        positions, quot = divide(shape, t)
+        return positions, quot[::-1]
+
+    monkeypatch.setattr(corequotient, "_divide", reversed_divide)
+    monkeypatch.setattr(corequotient, "_assemble",
+                        lambda positions, quot, t: assemble(positions, quot[::-1], t))
+    case = verify.check_division_bijection(8)
+    assert not case.passed
+    assert case.detail.startswith("runner route differs at")
 
 
 def test_core_sum_difference_stays_at_its_stated_scale():
