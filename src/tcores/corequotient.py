@@ -2,10 +2,17 @@
 its (core, t-divisible) pair, computed on the bead positions of the t-runner
 abacus: _divide reads off each runner's justification position p_i and its
 quotient component q_i (James and Kerber 1981, 2.7); _assemble puts them back.
+
+Each primitive keeps a memo of its last 1024 distinct argument tuples, typed,
+so the public entry points and hookstats divide a (shape, t) once however
+often they ask for it.  An entry holds O(len(parts) + t) ints; results are
+immutable and shared; `_divide.cache_clear()` and `_assemble.cache_clear()`
+empty the memos.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .partitions import EMPTY, PartitionShape, _require_t
 
@@ -30,6 +37,11 @@ def _beads(parts: tuple[int, ...]) -> list[int]:
     return [part - j for j, part in enumerate(parts, start=1)]
 
 
+# typed keys keep a refused t refused: 2.0 == 2 would otherwise hit t = 2's entry
+_memo = lru_cache(maxsize=1024, typed=True)
+
+
+@_memo
 def _divide(
     shape: PartitionShape, t: int
 ) -> tuple[tuple[int, ...], tuple[PartitionShape, ...]]:
@@ -51,6 +63,7 @@ def _divide(
     )
 
 
+@_memo
 def _assemble(
     positions: tuple[int, ...], quot: tuple[PartitionShape, ...], t: int
 ) -> PartitionShape:
@@ -109,4 +122,4 @@ def compose(
     positions, core_quot = _divide(core_shape, t)
     if any(q != EMPTY for q in core_quot):
         raise ValueError(f"{core_shape.parts} is not a {t}-core")
-    return _assemble(positions, quot, t)
+    return _assemble(positions, tuple(quot), t)

@@ -20,8 +20,9 @@ from typing import Sequence
 from .partitions import _require_t
 
 # every series is refused beyond this n: from a cold start, the four tables of
-# `counts --series p,c,d,C --t 2` to n = 50 000 take 1.3 to 1.8 s and 51 MB, and
-# pmf, moments and figure1 at t = 2 take 1.2 to 1.5 s and 29 MB each
+# `counts --series p,c,d,C --t 2` to n = 50 000 take 2.9 to 3.5 s and 28 MB, and
+# pmf, moments and figure1 at t = 2 take 2.3 to 3.2 s and 27 MB each (child
+# process wall and ru_maxrss, 2-core x86-64 VM, Python 3.11)
 SERIES_MAX_N = 50_000
 
 

@@ -3,10 +3,8 @@ identity the library relies on, runnable from the CLI.
 
 Each case compares a production code path against an independent route
 (exhaustive enumeration, a second formula, or a closed form) and reports a
-CaseResult; a suite passes only if every case does.  One case has no
-independent route: `abacus_roundtrip` checks the bit-word module against
-itself.  max_n caps the exhaustive sweeps so the whole run stays
-interactive.
+CaseResult; a suite passes only if every case does.  max_n caps the
+exhaustive sweeps so the whole run stays interactive.
 """
 from __future__ import annotations
 
@@ -21,6 +19,7 @@ from itertools import accumulate, permutations
 
 from . import abacus, counting, distribution, hookstats, oracles, sampling
 from .corequotient import (
+    _beads,
     compose,
     core,
     decompose,
@@ -249,11 +248,15 @@ def check_swap_is_rim_hook(max_n: int):
 
 @_check("abacus", "abacus_roundtrip")
 def check_word_roundtrip(max_n: int):
-    """The bit-word module against itself (no independent route), n <= 25."""
+    """The word's 1-positions against the bead positions read off the parts
+    (corequotient._beads), then its read-back, shifts and runners, n <= 25."""
     limit = min(max_n, 25)
     for n in range(limit + 1):
         for shape in _shapes(n):
             word = abacus.abacus_from_partition(shape)
+            ones = [word.offset + k for k, bit in enumerate(word.window) if bit]
+            if ones[::-1] != _beads(shape.parts):
+                return _fail({"n": n}, f"bead positions differ at {shape.parts}")
             if abacus.partition_from_abacus(word) != shape:
                 return _fail({"n": n}, f"read-back failed for {shape.parts}")
             if abacus.abacus_from_partition(abacus.partition_from_abacus(word)) != word:

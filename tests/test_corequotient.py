@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_strategies import partitions
+from tcores import corequotient
 from tcores.corequotient import (
     CoreQuotient,
     compose,
@@ -82,6 +83,71 @@ def test_compose_rejects_non_core():
         compose(make_partition([3]), (EMPTY,) * 3, 3)
     with pytest.raises(ValueError, match="components"):
         compose(EMPTY, (EMPTY,) * 2, 3)
+
+
+def test_compose_takes_a_list_quotient():
+    q = quotient(make_partition([7, 3, 2]), 3)
+    assert compose(make_partition([1]), list(q), 3) == make_partition([10, 3])
+    assert compose(make_partition([3, 1]), [EMPTY] * 3, 3) == make_partition([3, 1])
+
+
+# every public entry point, as a function of t alone
+ENTRIES = [
+    lambda t: core(RUNNING, t),
+    lambda t: is_core(RUNNING, t),
+    lambda t: quotient(RUNNING, t),
+    lambda t: corequotient.justification_vector(RUNNING, t),
+    lambda t: decompose(RUNNING, t),
+    lambda t: compose(EMPTY, [EMPTY] * int(t), t),
+]
+
+
+def _refusals(t):
+    out = []
+    for entry in ENTRIES:
+        with pytest.raises(Exception) as caught:
+            entry(t)
+        out.append((type(caught.value), str(caught.value)))
+    return out
+
+
+@pytest.mark.parametrize("bad_t", [2.0, 3.0, 2.5, True, False])
+def test_memo_keeps_refusing_a_t_equal_to_a_cached_one(monkeypatch, bad_t):
+    # 2.0 == 2 and hashes alike, so an untyped memo would answer it from
+    # t = 2's entry; the refusals must match those of the bare primitives
+    for t in (2, 3):
+        for entry in ENTRIES:
+            entry(t)
+    refusals = _refusals(bad_t)
+    monkeypatch.setattr(corequotient, "_divide", corequotient._divide.__wrapped__)
+    monkeypatch.setattr(corequotient, "_assemble", corequotient._assemble.__wrapped__)
+    assert refusals == _refusals(bad_t)
+
+
+@given(partitions(max_n=24), st.integers(2, 6))
+@settings(max_examples=150)
+def test_memoized_primitives_equal_their_originals(shape, t):
+    divide, assemble = corequotient._divide, corequotient._assemble
+    positions, quot = divide(shape, t)
+    assert (positions, quot) == divide.__wrapped__(shape, t)
+    assert divide(shape, t) is divide(shape, t)  # a hit serves the one result
+    for args in ((positions, quot, t), (positions, (EMPTY,) * t, t),
+                 ((0,) * t, quot, t), (positions, quot[::-1], t)):
+        assert assemble(*args) == assemble.__wrapped__(*args)
+    assert assemble(positions, quot, t) == shape
+
+
+def test_memo_stays_within_its_bound():
+    divide, assemble = corequotient._divide, corequotient._assemble
+    shapes = [s for n in range(19) for s in enumerate_partitions(n)]
+    assert len(shapes) > divide.cache_info().maxsize
+    for shape in shapes:
+        decompose(shape, 3)
+    for memo in (divide, assemble):
+        info = memo.cache_info()
+        assert info.maxsize == 1024
+        assert 0 < info.currsize <= info.maxsize
+    assert divide.cache_info().misses == len(shapes)
 
 
 @given(partitions(max_n=24), st.integers(2, 5))

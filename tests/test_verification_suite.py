@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from tcores import cli, corequotient, counting, sampling, verify
+from tcores import abacus, cli, corequotient, counting, sampling, verify
 
 
 def test_all_suites_pass_at_full_scale(full_report):
@@ -127,6 +127,18 @@ def test_division_bijection_catches_a_reversed_quotient(monkeypatch):
     case = verify.check_division_bijection(8)
     assert not case.passed
     assert case.detail.startswith("runner route differs at")
+
+
+def test_word_roundtrip_catches_a_shifted_word(monkeypatch):
+    # a shifted word reads back the same partition and survives every round
+    # trip; only the bead positions read off the parts see the shift
+    build = abacus.abacus_from_partition
+    monkeypatch.setattr(abacus, "abacus_from_partition",
+                        lambda shape: abacus.shift(build(shape), 1))
+    case = verify.check_word_roundtrip(8)
+    assert not case.passed
+    assert case.params == {"n": 1}
+    assert case.detail == "bead positions differ at (1,)"
 
 
 def test_core_sum_difference_stays_at_its_stated_scale():
