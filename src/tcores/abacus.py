@@ -136,7 +136,7 @@ def justify(word: AbacusWord) -> tuple[AbacusWord, int]:
 
 def split_runners(word: AbacusWord, t: int) -> TRunner:
     """Extract the t position classes mod t as 1-runner words."""
-    _require_t(t)
+    t = _require_t(t)
     runners = []
     for i in range(t):
         n_lo = -((i - word.offset) // t)  # ceil((offset - i) / t)

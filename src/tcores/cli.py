@@ -260,12 +260,12 @@ def _cmd_orbit(args, out) -> int:
     smoothings = [_render_parts(hookstats.b_smoothing(nu, args.t, b).parts)
                   for b in range(max_b + 1)]
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
-    words = ("".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1)))
-    rows = (
-        [word, _render_parts(hookstats.act_on_divisible(
-            hookstats.permutation_from_word(word), nu, args.t).parts), *smoothings]
-        for word in words
-    )
+    words = ["".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1))]
+    # every row's image comes from one division of nu, one image at a time
+    images = hookstats._images(
+        nu, args.t, map(hookstats.permutation_from_word, words), divisible=True)
+    rows = ([word, _render_parts(image.parts), *smoothings]
+            for word, image in zip(words, images))
     _emit(out, args, columns, rows)
     return 0
 

@@ -2,17 +2,11 @@
 its (core, t-divisible) pair, computed on the bead positions of the t-runner
 abacus: _divide reads off each runner's justification position p_i and its
 quotient component q_i (James and Kerber 1981, 2.7); _assemble puts them back.
-
-Each primitive keeps a memo of its last 1024 distinct argument tuples, typed,
-so the public entry points and hookstats divide a (shape, t) once however
-often they ask for it.  An entry holds O(len(parts) + t) ints; results are
-immutable and shared; `_divide.cache_clear()` and `_assemble.cache_clear()`
-empty the memos.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import add
 
 from .partitions import EMPTY, PartitionShape, _require_t
 
@@ -37,47 +31,47 @@ def _beads(parts: tuple[int, ...]) -> list[int]:
     return [part - j for j, part in enumerate(parts, start=1)]
 
 
-# typed keys keep a refused t refused: 2.0 == 2 would otherwise hit t = 2's entry
-_memo = lru_cache(maxsize=1024, typed=True)
-
-
-@_memo
 def _divide(
     shape: PartitionShape, t: int
 ) -> tuple[tuple[int, ...], tuple[PartitionShape, ...]]:
     # a bead sits at level * t + runner; padded to m * t rows, each runner is
     # full below level -m, so p_i is its bead count - m, and its k-th bead
     # from the top, at level L, gives part L - p_i + k of q_i
-    _require_t(t)
+    t = _require_t(t)
     parts = shape.parts
     m = -(-len(parts) // t)
     levels: list[list[int]] = [[] for _ in range(t)]
-    for bead in _beads(parts + (0,) * (m * t - len(parts))):
-        level, runner = divmod(bead, t)
+    for j, part in enumerate(parts + (0,) * (m * t - len(parts)), start=1):
+        level, runner = divmod(part - j, t)  # row j's bead, as in _beads
         levels[runner].append(level)
     positions = tuple(len(beads) - m for beads in levels)
+    # a runner whose top bead sits at p_i - 1 is justified: q_i is empty
     return positions, tuple(
         PartitionShape(tuple(x for k, level in enumerate(beads, start=1)
                              if (x := level - p + k)))
+        if beads and beads[0] != p - 1 else EMPTY
         for beads, p in zip(levels, positions)
     )
 
 
-@_memo
 def _assemble(
     positions: tuple[int, ...], quot: tuple[PartitionShape, ...], t: int
 ) -> PartitionShape:
     # inverse of _divide for positions summing to zero: runner i holds q_i's
     # beads at levels q_i[k-1] - k + p_i, full below; taking every bead from
-    # level floor up, the j-th from the top, beta_j, gives part beta_j + j
+    # level floor up, the j-th from the top, beta_j, gives part beta_j + j;
+    # these fall to 0 at the full run of fewer than t beads at the bottom
     floor = min(p - len(q.parts) for p, q in zip(positions, quot))
     beads = []
     for i, (p, q) in enumerate(zip(positions, quot)):
-        beads.extend((part - k + p) * t + i for k, part in enumerate(q.parts, start=1))
-        beads.extend(level * t + i for level in range(floor, p - len(q.parts)))
+        if q.parts:
+            beads.extend((part - k + p) * t + i for k, part in enumerate(q.parts, start=1))
+        beads.extend(range(floor * t + i, (p - len(q.parts)) * t + i, t))
     beads.sort(reverse=True)
-    return PartitionShape(tuple(x for j, beta in enumerate(beads, start=1)
-                                if (x := beta + j)))
+    parts = list(map(add, beads, range(1, len(beads) + 1)))
+    while parts and not parts[-1]:
+        parts.pop()
+    return PartitionShape(tuple(parts))
 
 
 def is_core(shape: PartitionShape, t: int) -> bool:
@@ -116,10 +110,10 @@ def compose(
     core_shape: PartitionShape, quot: tuple[PartitionShape, ...], t: int
 ) -> PartitionShape:
     """Inverse of decompose: rebuild the partition from a core and quotient."""
-    _require_t(t)
+    t = _require_t(t)
     if len(quot) != t:
         raise ValueError(f"quotient must have exactly {t} components, got {len(quot)}")
     positions, core_quot = _divide(core_shape, t)
     if any(q != EMPTY for q in core_quot):
         raise ValueError(f"{core_shape.parts} is not a {t}-core")
-    return _assemble(positions, tuple(quot), t)
+    return _assemble(positions, quot, t)

@@ -192,7 +192,7 @@ def _sigma_sum_store(t: int, hi: int) -> list[int]:
 
 def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
     if t is not None:
-        _require_t(t)
+        t = _require_t(t)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if max_n > SERIES_MAX_N:
@@ -247,7 +247,7 @@ def f_t(p: Sequence[int], t: int) -> int:
     integer, and it equals the size of the t-core whose runner justification
     positions are p.
     """
-    _require_t(t)
+    t = _require_t(t)
     p = tuple(p)
     if len(p) != t:
         raise ValueError(f"expected a vector of length {t}, got {len(p)}")
@@ -275,7 +275,7 @@ class AsymptoticEstimates:
 
 def core_sum_leading_term(t: int, n: int) -> float:
     """Leading term of the distinct-core count C_t(n)."""
-    _require_t(t)
+    t = _require_t(t)
     return (
         (2.0 * math.pi) ** ((t - 1) / 2.0)
         / (t ** ((t + 2) / 2.0) * math.gamma((t + 1) / 2.0))
@@ -284,7 +284,7 @@ def core_sum_leading_term(t: int, n: int) -> float:
 
 
 def asymptotic_estimates(t: int, n: int) -> AsymptoticEstimates:
-    _require_t(t)
+    t = _require_t(t)
     if n < 1:
         raise ValueError("n must be positive")
     growth = math.exp(math.pi * math.sqrt(2.0 * n / 3.0))

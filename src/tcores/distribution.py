@@ -35,7 +35,7 @@ class GammaParams:
 
 def gamma_params(t: int) -> GammaParams:
     """Limit law of (core size)/sqrt(n): shape (t-1)/2, rate pi/sqrt(6)."""
-    _require_t(t)
+    t = _require_t(t)
     return GammaParams((t - 1) / 2.0, math.pi / math.sqrt(6.0))
 
 
@@ -121,7 +121,7 @@ class CoreSizePMF:
 
 
 def core_size_pmf(t: int, n: int) -> CoreSizePMF:
-    _require_t(t)
+    t = _require_t(t)
     if n < 0:
         raise ValueError("n must be nonnegative")
     cores = core_count_table(t, n)
@@ -185,7 +185,7 @@ def expected_core_size(t: int, n: int) -> tuple[Fraction, float]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _require_t(t)
+    t = _require_t(t)
     return _expected(t, n, partition_count_table(n)[n], sigma_sum_table(t, n)[n])
 
 
@@ -193,7 +193,7 @@ def expected_core_sizes(t: int, max_n: int) -> list[tuple[Fraction, float]]:
     """expected_core_size(t, n) for n = 1..max_n, reading each series once."""
     if max_n < 1:
         raise ValueError("max_n must be positive")
-    _require_t(t)
+    t = _require_t(t)
     p = partition_count_table(max_n).values
     s = sigma_sum_table(t, max_n).values
     return [_expected(t, n, p[n], s[n]) for n in range(1, max_n + 1)]

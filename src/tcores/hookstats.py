@@ -13,7 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import counting, sampling
 from .corequotient import _assemble, _beads, _divide
@@ -26,17 +26,19 @@ def _require_permutation(sigma: Sequence[int], t: int) -> tuple[int, ...]:
     return sigma
 
 
-def _require_divisible(nu: PartitionShape, t: int) -> tuple[PartitionShape, ...]:
+def _require_divisible(
+    nu: PartitionShape, t: int
+) -> tuple[tuple[int, ...], tuple[PartitionShape, ...]]:
     positions, quot = _divide(nu, t)  # the core is empty when every p_i is 0
     if any(positions):
         raise ValueError(f"{nu.parts} does not have empty {t}-core")
-    return quot
+    return positions, quot
 
 
 def residue_census(shape: PartitionShape, t: int) -> tuple[int, ...]:
     """Per-residue hook counts: entry i is the number of cells whose hook
     length is i mod t, so the entries sum to the size of the shape."""
-    _require_t(t)
+    t = _require_t(t)
     counts = [0] * t
     for h in hook_lengths(shape):
         counts[h % t] += 1
@@ -59,7 +61,7 @@ def exact_residue_distribution(t: int, n: int) -> tuple[Fraction, ...]:
     of n, the cells with hook length k number k * sum_{j>=1} p(n - jk).
     The p table refuses n beyond counting.SERIES_MAX_N.
     """
-    _require_t(t)
+    t = _require_t(t)
     if n < 1:
         raise ValueError("n must be positive")
     p = counting.partition_count_table(n).values
@@ -80,7 +82,7 @@ def sampled_residue_distribution(
     (seed, samples), never on scheduling.  A draw unranks the partition only
     down to the drawn cell's column (sampling.hook_at), not in full.
     """
-    _require_t(t)
+    t = _require_t(t)
     if n < 1:
         raise ValueError("n must be positive")
     if samples < 1:
@@ -106,17 +108,19 @@ def act_on_divisible(
     Component i of the image is component sigma[i] of the input; the size is
     preserved.
     """
-    _require_t(t)
+    t = _require_t(t)
     sigma = _require_permutation(sigma, t)
-    return _permuted_images(nu, t, [sigma])[0]
+    return next(_images(nu, t, [sigma], divisible=True))
 
 
-def _permuted_images(
-    nu: PartitionShape, t: int, sigmas: Iterable[tuple[int, ...]]
-) -> list[PartitionShape]:
-    # nu is checked and divided once for every permutation
-    q = _require_divisible(nu, t)
-    return [_assemble((0,) * t, tuple(q[s] for s in sigma), t) for sigma in sigmas]
+def _images(
+    shape: PartitionShape, t: int, sigmas: Iterable[tuple[int, ...]], divisible: bool = False
+) -> Iterator[PartitionShape]:
+    # shape is divided once for every sigma, on the first image asked for;
+    # its positions, all 0 when it is t-divisible, keep its core in each image
+    positions, q = (_require_divisible if divisible else _divide)(shape, t)
+    for sigma in sigmas:
+        yield _assemble(positions, tuple(q[s] for s in sigma), t)
 
 
 def act_on_partition(
@@ -127,10 +131,9 @@ def act_on_partition(
     The core is untouched; the quotient components are permuted and the
     partition reassembled, so the size and the t-core are both preserved.
     """
-    _require_t(t)
+    t = _require_t(t)
     sigma = _require_permutation(sigma, t)
-    positions, q = _divide(shape, t)
-    return _assemble(positions, tuple(q[s] for s in sigma), t)
+    return next(_images(shape, t, [sigma]))
 
 
 def permutation_from_word(word: str) -> tuple[int, ...]:
@@ -154,7 +157,7 @@ def permutation_from_word(word: str) -> tuple[int, ...]:
 def s_t_orbit(nu: PartitionShape, t: int) -> list[PartitionShape]:
     """Orbit of a t-divisible partition under all quotient permutations,
     sorted descending by parts for stable output."""
-    orbit = set(_permuted_images(nu, t, permutations(range(t))))
+    orbit = set(_images(nu, t, permutations(range(t)), divisible=True))
     return sorted(orbit, key=lambda s: s.parts, reverse=True)
 
 
@@ -165,7 +168,7 @@ def s_t_orbit(nu: PartitionShape, t: int) -> list[PartitionShape]:
 def b_smoothing(nu: PartitionShape, t: int, b: int) -> PartitionShape:
     """Cells of the t-divisible nu whose (0,1) abacus pairs sit at least b+1
     runner columns apart, as a subpartition of nu; b = -1 returns nu itself."""
-    _require_t(t)
+    t = _require_t(t)
     if b < -1:
         raise ValueError("b must be at least -1")
     _require_divisible(nu, t)

@@ -54,7 +54,7 @@ def _coordinate_ranges(t: int, max_n: int) -> list[range]:
 
 def lattice_core_histogram(t: int, max_n: int) -> tuple[int, ...]:
     """Count zero-sum integer vectors with f_t = n for every n <= max_n."""
-    _require_t(t)
+    t = _require_t(t)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     ranges = _coordinate_ranges(t, max_n)
@@ -89,7 +89,7 @@ def mod_solution_count(t: int, n_mod: int) -> int:
     honest zero-sum integer vector before evaluating f_t, so the residue of
     the value is well defined.  The count is t**(t-2) for every residue.
     """
-    _require_t(t)
+    t = _require_t(t)
     target = n_mod % t
     count = 0
     for q in itertools.product(range(t), repeat=t):
@@ -104,7 +104,7 @@ def mod_solution_count(t: int, n_mod: int) -> int:
 
 def ball_volume(t: int, n: int) -> float:
     """Volume of the (t-1)-ball cut out by f_t = n inside the hyperplane."""
-    _require_t(t)
+    t = _require_t(t)
     if n < 0:
         raise ValueError("n must be nonnegative")
     r2 = (2.0 * math.pi / t) * (n + (t * t - 1) / 24.0)
@@ -138,7 +138,7 @@ def lattice_covolume(t: int) -> float:
     Built from the Gram determinant of the basis e_0 - e_i, not hard-coded;
     the determinant evaluates to t, so the result is sqrt(t).
     """
-    _require_t(t)
+    t = _require_t(t)
     basis = []
     for i in range(1, t):
         v = [0] * t
@@ -187,7 +187,7 @@ def _hook_cells(shape: PartitionShape, t: int) -> Iterator[Cell]:
 def core_by_rim_stripping(shape: PartitionShape, t: int) -> PartitionShape:
     """Greedily remove t-rim-hooks until none remain; stripping order does
     not matter, so this is the t-core."""
-    _require_t(t)
+    t = _require_t(t)
     current = shape
     while (target := next(_hook_cells(current, t), None)) is not None:
         current = remove_rim_hook(current, target)
@@ -236,7 +236,7 @@ def act_on_partition_via_shifts(
     difference of the core justification positions; must agree with
     hookstats.act_on_partition everywhere.
     """
-    _require_t(t)
+    t = _require_t(t)
     sigma = _require_permutation(sigma, t)
     tr = abacus.split_runners(abacus.abacus_from_partition(shape), t)
     positions = [abacus.justify(r)[1] for r in tr.runners]

@@ -88,12 +88,18 @@ def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
 MAX_T = 100_000
 
 
-def _require_t(t: int) -> None:
-    # the one check of the modulus t shared by every module
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    if t > MAX_T:
-        raise ValueError(f"t must be at most {MAX_T}, got {t}")
+def _require_t(t: int) -> int:
+    # the one check of the modulus t shared by every module; like a part in
+    # make_partition, t is taken as an int through operator.index
+    try:
+        value = operator.index(t)
+    except TypeError:
+        raise ValueError(f"t must be an integer, got {t!r}") from None
+    if value < 2:
+        raise ValueError(f"t must be at least 2, got {t!r}")
+    if value > MAX_T:
+        raise ValueError(f"t must be at most {MAX_T}, got {t!r}")
+    return value
 
 
 def _require_cell(shape: PartitionShape, cell: Cell) -> tuple[int, int]:

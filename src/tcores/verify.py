@@ -17,16 +17,8 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, permutations
 
-from . import abacus, counting, distribution, hookstats, oracles, sampling
-from .corequotient import (
-    _beads,
-    compose,
-    core,
-    decompose,
-    is_core,
-    justification_vector,
-    quotient,
-)
+from . import abacus, corequotient, counting, distribution, hookstats, oracles, sampling
+from .corequotient import _beads, compose, core, decompose, is_core, justification_vector
 from .partitions import (
     EMPTY,
     Cell,
@@ -109,7 +101,7 @@ def _fail(params: dict, detail: str) -> tuple[dict, bool, str]:
 # the shared corpus
 #
 # Many cases sweep the same partitions and their t-cores.  Each is built once
-# per process; the case caps bound it to n <= 30 and t <= 6 (about 16 MB).
+# per process; the case caps bound it to n <= 30 and t <= 6 (about 15 MB).
 
 
 @functools.cache
@@ -124,10 +116,12 @@ def _hooks(n: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.cache
 def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
-    # equal cores are interned, so each distinct core is held once per (n, t)
-    interned: dict[PartitionShape, PartitionShape] = {}
-    return tuple(interned.setdefault(rho, rho)
-                 for rho in (core(shape, t) for shape in _shapes(n)))
+    # a t-core is fixed by its justification vector (James and Kerber 2.7):
+    # each shape is divided once, each distinct vector assembled once, and
+    # the cores are interned by it, so each distinct core is held once
+    vectors = [corequotient._divide(shape, t)[0] for shape in _shapes(n)]
+    interned = {v: corequotient._assemble(v, (EMPTY,) * t, t) for v in set(vectors)}
+    return tuple(interned[v] for v in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +333,9 @@ def check_division_bijection(max_n: int):
                     return _fail({"n": n, "t": t}, f"round trip fails at {shape.parts}")
                 word = abacus.abacus_from_partition(shape)
                 runners = abacus.split_runners(word, t).runners
-                if (justification_vector(shape, t)
-                        != tuple(abacus.justify(r)[1] for r in runners)
-                        or quotient(shape, t)
-                        != tuple(abacus.partition_from_abacus(r) for r in runners)):
+                if corequotient._divide(shape, t) != (
+                        tuple(abacus.justify(r)[1] for r in runners),
+                        tuple(abacus.partition_from_abacus(r) for r in runners)):
                     return _fail({"n": n, "t": t},
                                  f"runner route differs at {shape.parts}")
     return {"max_n": limit, "t": ts}
@@ -679,15 +672,17 @@ def check_action_properties(max_n: int):
     limit = min(max_n, 14)
     ts = [2, 3]
     for n in range(limit + 1):
+        index = {shape: i for i, shape in enumerate(_shapes(n))}
         for i, shape in enumerate(_shapes(n)):
             for t in ts:
-                ident = tuple(range(t))
-                if hookstats.act_on_partition(ident, shape, t) != shape:
-                    return _fail({"n": n, "t": t}, f"identity fails at {shape.parts}")
-                rho = _cores(n, t)[i]
-                for sigma in permutations(range(t)):
-                    image = hookstats.act_on_partition(sigma, shape, t)
-                    if image.size != n or core(image, t) != rho:
+                cores = _cores(n, t)
+                # one division of shape for all t! images, the identity's first
+                sigmas = list(permutations(range(t)))
+                for sigma, image in zip(sigmas, hookstats._images(shape, t, sigmas)):
+                    if sigma == sigmas[0] and image != shape:
+                        return _fail({"n": n, "t": t}, f"identity fails at {shape.parts}")
+                    # an image of size n has an index, and its core is the corpus's
+                    if image not in index or cores[index[image]] != cores[i]:
                         return _fail({"n": n, "t": t},
                                      f"size/core not preserved at {shape.parts}")
                     if image != oracles.act_on_partition_via_shifts(
@@ -704,15 +699,16 @@ def check_smoothing_bounds(max_n: int):
     limit = min(max_n, 20)
     ts = [2, 3, 4, 5]
     for n in range(limit + 1):
-        for shape in _shapes(n):
+        for i, shape in enumerate(_shapes(n)):
             for t in ts:
-                dc = decompose(shape, t)
+                # the divisible part, its quotient on balanced runners
+                nu = corequotient._assemble((0,) * t, corequotient._divide(shape, t)[1], t)
                 b, cells = hookstats.canonical_smoothing(shape, t)
-                if b > 2.0 * math.sqrt(dc.core.size) + 1e-12:
+                if b > 2.0 * math.sqrt(_cores(n, t)[i].size) + 1e-12:
                     return _fail({"n": n, "t": t},
                                  f"spread bound fails at {shape.parts}")
-                uncovered = dc.divisible.size - cells.size
-                small = hookstats.small_hook_count(dc.divisible, t * (b + 1))
+                uncovered = nu.size - cells.size
+                small = hookstats.small_hook_count(nu, t * (b + 1))
                 if uncovered > small:
                     return _fail({"n": n, "t": t},
                                  f"coverage bound fails at {shape.parts}")
@@ -744,12 +740,12 @@ def check_phi_injection(max_n: int):
     for n in range(limit + 1):
         for shape in _shapes(n):
             for t in ts:
-                dc = decompose(shape, t)
+                nu = corequotient._assemble((0,) * t, corequotient._divide(shape, t)[1], t)
                 mapping = hookstats.phi_map(shape, t)
                 if len(set(mapping.values())) != len(mapping):
                     return _fail({"n": n, "t": t}, f"not injective at {shape.parts}")
                 for src, dst in mapping.items():
-                    if (hook_length(dc.divisible, src) % t
+                    if (hook_length(nu, src) % t
                             != hook_length(shape, dst) % t):
                         return _fail({"n": n, "t": t},
                                      f"residue broken at {shape.parts} {src}")

@@ -6,15 +6,7 @@ read each case from that one report.
 """
 import pytest
 
-from tcores import corequotient, verify
-
-
-@pytest.fixture(autouse=True)
-def empty_division_memos():
-    """Each test starts with empty division memos, so an entry cached by an
-    earlier test cannot hide a fault that a later test injects."""
-    corequotient._divide.cache_clear()
-    corequotient._assemble.cache_clear()
+from tcores import verify
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tcores import counting
+from tcores import counting, hookstats
 from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _emit, run
 from tcores.corequotient import core
 from tcores.counting import SERIES_MAX_N
@@ -221,7 +221,8 @@ def test_orbit_rows_match_action_and_smoothing(capsys, t):
             for word in words:
                 image = act_on_divisible(permutation_from_word(word), nu, t)
                 expected.append(",".join([word, _render(image), *(
-                    _render(b_smoothing(image, t, b)) for b in range(2 * t + 1))]))
+                    _render(hookstats._smoothing_cells(image, t, b))
+                    for b in range(2 * t + 1))]))
             assert out.splitlines()[1:] == expected
 
 
@@ -236,6 +237,18 @@ def test_orbit_takes_max_b_up_to_the_cap(capsys):
     smoothings = [_render(b_smoothing(nu, 7, b)) for b in range(ORBIT_MAX_B + 1)]
     for line in lines[1:]:
         assert line.split(",")[2:] == smoothings
+
+
+@pytest.mark.parametrize("max_b", [0, 1, 5])
+def test_orbit_divides_nu_once_per_request(capsys, monkeypatch, max_b):
+    # once for all 24 rows at t = 4, and once per smoothing column
+    divide, calls = hookstats._divide, []
+    monkeypatch.setattr(hookstats, "_divide",
+                        lambda shape, t: calls.append(shape) or divide(shape, t))
+    code, out = run_capture(capsys, "orbit", "--t", "4", "--nu", "6,5,3,2",
+                            "--max-b", str(max_b))
+    assert code == 0 and len(out.splitlines()) == 25
+    assert calls and len(calls) <= max_b + 2
 
 
 def test_sample_deterministic_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -14,6 +15,8 @@ from tcores.corequotient import (
     quotient,
 )
 from tcores.counting import core_count_table, divisible_count_table
+from tcores.distribution import gamma_params
+from tcores.hookstats import residue_census
 from tcores.oracles import (
     all_stripping_results,
     core_by_rim_stripping,
@@ -102,52 +105,17 @@ ENTRIES = [
 ]
 
 
-def _refusals(t):
-    out = []
-    for entry in ENTRIES:
-        with pytest.raises(Exception) as caught:
-            entry(t)
-        out.append((type(caught.value), str(caught.value)))
-    return out
-
-
-@pytest.mark.parametrize("bad_t", [2.0, 3.0, 2.5, True, False])
-def test_memo_keeps_refusing_a_t_equal_to_a_cached_one(monkeypatch, bad_t):
-    # 2.0 == 2 and hashes alike, so an untyped memo would answer it from
-    # t = 2's entry; the refusals must match those of the bare primitives
-    for t in (2, 3):
-        for entry in ENTRIES:
-            entry(t)
-    refusals = _refusals(bad_t)
-    monkeypatch.setattr(corequotient, "_divide", corequotient._divide.__wrapped__)
-    monkeypatch.setattr(corequotient, "_assemble", corequotient._assemble.__wrapped__)
-    assert refusals == _refusals(bad_t)
-
-
-@given(partitions(max_n=24), st.integers(2, 6))
-@settings(max_examples=150)
-def test_memoized_primitives_equal_their_originals(shape, t):
-    divide, assemble = corequotient._divide, corequotient._assemble
-    positions, quot = divide(shape, t)
-    assert (positions, quot) == divide.__wrapped__(shape, t)
-    assert divide(shape, t) is divide(shape, t)  # a hit serves the one result
-    for args in ((positions, quot, t), (positions, (EMPTY,) * t, t),
-                 ((0,) * t, quot, t), (positions, quot[::-1], t)):
-        assert assemble(*args) == assemble.__wrapped__(*args)
-    assert assemble(positions, quot, t) == shape
-
-
-def test_memo_stays_within_its_bound():
-    divide, assemble = corequotient._divide, corequotient._assemble
-    shapes = [s for n in range(19) for s in enumerate_partitions(n)]
-    assert len(shapes) > divide.cache_info().maxsize
-    for shape in shapes:
-        decompose(shape, 3)
-    for memo in (divide, assemble):
-        info = memo.cache_info()
-        assert info.maxsize == 1024
-        assert 0 < info.currsize <= info.maxsize
-    assert divide.cache_info().misses == len(shapes)
+@pytest.mark.parametrize("entry", [
+    *ENTRIES,
+    lambda t: core_count_table(t, 10),
+    gamma_params,
+    lambda t: residue_census(RUNNING, t),
+], ids=["core", "is_core", "quotient", "justification_vector", "decompose", "compose",
+        "core_count_table", "gamma_params", "residue_census"])
+@pytest.mark.parametrize("bad_t", [2.0, 3.0, 2.5, "3", True, False])
+def test_a_non_integer_t_is_refused_naming_t(entry, bad_t):
+    with pytest.raises(ValueError, match=rf"^t must be .*, got {re.escape(repr(bad_t))}$"):
+        entry(bad_t)
 
 
 @given(partitions(max_n=24), st.integers(2, 5))
@@ -168,10 +136,8 @@ def test_division_round_trip(shape, t):
 @pytest.mark.parametrize("n", range(13))
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_decompose_injective(n, t):
-    images = {
-        (decompose(s, t).core, decompose(s, t).divisible)
-        for s in enumerate_partitions(n)
-    }
+    images = {(dc.core, dc.divisible)
+              for dc in (decompose(s, t) for s in enumerate_partitions(n))}
     assert len(images) == sum(1 for _ in enumerate_partitions(n))
 
 

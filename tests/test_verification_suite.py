@@ -129,6 +129,19 @@ def test_division_bijection_catches_a_reversed_quotient(monkeypatch):
     assert case.detail.startswith("runner route differs at")
 
 
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("t", [3, 5])
+def test_corpus_assembles_each_distinct_core_once(monkeypatch, n, t):
+    # the distinct cores of partitions of n number C_t(n)
+    assemble, calls = corequotient._assemble, []
+    monkeypatch.setattr(corequotient, "_assemble",
+                        lambda *args: calls.append(args) or assemble(*args))
+    verify._cores.cache_clear()
+    cores = verify._cores(n, t)
+    assert len(calls) == counting.core_sum(t, n) == len(set(cores))
+    assert cores == tuple(corequotient.core(s, t) for s in verify._shapes(n))
+
+
 def test_word_roundtrip_catches_a_shifted_word(monkeypatch):
     # a shifted word reads back the same partition and survives every round
     # trip; only the bead positions read off the parts see the shift
