@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .partitions import EMPTY, PartitionShape, _require_t
+from .partitions import EMPTY, PartitionShape, _require_int, _require_t
 
 @dataclass(frozen=True)
 class AbacusWord:
@@ -27,6 +27,7 @@ class AbacusWord:
     offset: int
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", _require_int(self.offset, "offset"))
         if self.window:
             if self.window[0] != 0 or self.window[-1] != 1:
                 raise ValueError(

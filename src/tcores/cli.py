@@ -256,8 +256,9 @@ def _cmd_orbit(args, out) -> int:
     max_b = args.max_b if args.max_b is not None else args.t - 1
     # the action moves bead pairs between runners without changing their
     # column spread, so each b-smoothing (b >= 0) is the same on the whole
-    # orbit: take it once, from nu, which also checks nu before any output
-    smoothings = [_render_parts(hookstats.b_smoothing(nu, args.t, b).parts)
+    # orbit: take it once, from nu, checked t-divisible before any output
+    hookstats._require_divisible(nu, args.t)
+    smoothings = [_render_parts(hookstats._smoothing_cells(nu, args.t, b).parts)
                   for b in range(max_b + 1)]
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
     words = ["".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1))]

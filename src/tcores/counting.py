@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .partitions import _require_t
+from .partitions import _require_int, _require_t
 
 # every series is refused beyond this n: from a cold start, the four tables of
 # `counts --series p,c,d,C --t 2` to n = 50 000 take 2.9 to 3.5 s and 28 MB, and
@@ -191,10 +191,8 @@ def _sigma_sum_store(t: int, hi: int) -> list[int]:
 
 
 def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
-    if t is not None:
-        t = _require_t(t)
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    t = None if kind == "p" else _require_t(t)
+    max_n = _require_int(max_n, "max_n", 0)
     if max_n > SERIES_MAX_N:
         raise ValueError(
             f"the counting series are capped at n={SERIES_MAX_N}; got n={max_n}")
@@ -235,8 +233,7 @@ def sigma_sum_table(t: int, max_n: int) -> SeriesTable:
 
 def core_sum(t: int, n: int) -> int:
     """Number of distinct t-cores arising from partitions of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _require_int(n, "n", 0)
     return core_sum_table(t, n)[n]
 
 
@@ -248,7 +245,7 @@ def f_t(p: Sequence[int], t: int) -> int:
     positions are p.
     """
     t = _require_t(t)
-    p = tuple(p)
+    p = tuple([_require_int(x, "each coordinate of p") for x in p])
     if len(p) != t:
         raise ValueError(f"expected a vector of length {t}, got {len(p)}")
     if sum(p) != 0:
@@ -276,6 +273,7 @@ class AsymptoticEstimates:
 def core_sum_leading_term(t: int, n: int) -> float:
     """Leading term of the distinct-core count C_t(n)."""
     t = _require_t(t)
+    n = _require_int(n, "n", 0)
     return (
         (2.0 * math.pi) ** ((t - 1) / 2.0)
         / (t ** ((t + 2) / 2.0) * math.gamma((t + 1) / 2.0))
@@ -285,8 +283,7 @@ def core_sum_leading_term(t: int, n: int) -> float:
 
 def asymptotic_estimates(t: int, n: int) -> AsymptoticEstimates:
     t = _require_t(t)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _require_int(n, "n", 1)
     growth = math.exp(math.pi * math.sqrt(2.0 * n / 3.0))
     p_lead = growth / (4.0 * n * math.sqrt(3.0))
     if n % t == 0:

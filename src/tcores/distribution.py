@@ -18,7 +18,7 @@ from .counting import (
     partition_count_table,
     sigma_sum_table,
 )
-from .partitions import _require_t
+from .partitions import _require_int, _require_t
 
 _MAX_ITER = 500
 
@@ -29,8 +29,8 @@ class GammaParams:
     beta: float   # rate
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("shape and rate must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"shape and rate must be positive and finite, got {self}")
 
 
 def gamma_params(t: int) -> GammaParams:
@@ -79,10 +79,16 @@ def _upper_gamma_cont_frac(a: float, x: float) -> float:
 def gamma_cdf(params: GammaParams, x: float) -> float:
     """CDF of the gamma law: P(alpha, y) at y = beta * x, where P(a, y) is
     the lower incomplete gamma function over Gamma(a), to 1e-10 absolute.
-    Returns 0 when y <= 0, which covers x <= 0 and a product that underflows."""
+    Returns 0 when y <= 0, which covers x <= 0 and a product that underflows,
+    and 1 when y is infinite, which covers x = inf and a product that
+    overflows; x = nan is refused."""
+    if math.isnan(x):
+        raise ValueError(f"x must be a number, got {x!r}")
     a, y = params.alpha, params.beta * x
     if y <= 0:
         return 0.0
+    if y == math.inf:
+        return 1.0
     if y < a + 1.0:
         return _lower_gamma_series(a, y)
     return 1.0 - _upper_gamma_cont_frac(a, y)
@@ -122,8 +128,7 @@ class CoreSizePMF:
 
 def core_size_pmf(t: int, n: int) -> CoreSizePMF:
     t = _require_t(t)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _require_int(n, "n", 0)
     cores = core_count_table(t, n)
     divis = divisible_count_table(t, n)
     weights: dict[int, int] = {}
@@ -137,8 +142,7 @@ def core_size_pmf(t: int, n: int) -> CoreSizePMF:
 def scaled_moment(pmf: CoreSizePMF, k: int) -> float:
     """E[(Y/sqrt(n))^k]: the sum over the support is exact, then one real
     division by n^(k/2)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _require_int(k, "k", 0)
     if k == 0:
         return 1.0
     raw = sum(j**k * w for j, w in pmf.weights.items())
@@ -183,16 +187,14 @@ def expected_core_size(t: int, n: int) -> tuple[Fraction, float]:
     The exact mean is n - t^2 S_t(n) / p(n), read off the grown p and S_t
     series; no core-size law is built.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _require_int(n, "n", 1)
     t = _require_t(t)
     return _expected(t, n, partition_count_table(n)[n], sigma_sum_table(t, n)[n])
 
 
 def expected_core_sizes(t: int, max_n: int) -> list[tuple[Fraction, float]]:
     """expected_core_size(t, n) for n = 1..max_n, reading each series once."""
-    if max_n < 1:
-        raise ValueError("max_n must be positive")
+    max_n = _require_int(max_n, "max_n", 1)
     t = _require_t(t)
     p = partition_count_table(max_n).values
     s = sigma_sum_table(t, max_n).values

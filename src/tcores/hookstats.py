@@ -17,10 +17,11 @@ from typing import Iterable, Iterator, Sequence
 
 from . import counting, sampling
 from .corequotient import _assemble, _beads, _divide
-from .partitions import Cell, PartitionShape, _require_t, conjugate_parts, hook_lengths
+from .partitions import (
+    Cell, PartitionShape, _require_int, _require_t, conjugate_parts, hook_lengths)
 
 def _require_permutation(sigma: Sequence[int], t: int) -> tuple[int, ...]:
-    sigma = tuple(sigma)
+    sigma = tuple([_require_int(s, "each entry of sigma", 0, t - 1) for s in sigma])
     if sorted(sigma) != list(range(t)):
         raise ValueError(f"{sigma} is not a permutation of 0..{t-1}")
     return sigma
@@ -47,8 +48,7 @@ def residue_census(shape: PartitionShape, t: int) -> tuple[int, ...]:
 
 def small_hook_count(shape: PartitionShape, m: int) -> int:
     """Number of cells with hook length strictly below m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = _require_int(m, "m", 0)
     return sum(1 for h in hook_lengths(shape) if h < m)
 
 
@@ -62,8 +62,7 @@ def exact_residue_distribution(t: int, n: int) -> tuple[Fraction, ...]:
     The p table refuses n beyond counting.SERIES_MAX_N.
     """
     t = _require_t(t)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _require_int(n, "n", 1)
     p = counting.partition_count_table(n).values
     totals = [0] * t
     for k in range(1, n + 1):
@@ -83,10 +82,9 @@ def sampled_residue_distribution(
     down to the drawn cell's column (sampling.hook_at), not in full.
     """
     t = _require_t(t)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    n = _require_int(n, "n", 1)
+    samples = _require_int(samples, "samples", 1)
+    seed = _require_int(seed, "seed")
     table = sampling.build_sampler(n)
     counts = [0] * t
     for rank, cell in sampling.index_draws(seed, samples, table.total, n):
@@ -169,8 +167,7 @@ def b_smoothing(nu: PartitionShape, t: int, b: int) -> PartitionShape:
     """Cells of the t-divisible nu whose (0,1) abacus pairs sit at least b+1
     runner columns apart, as a subpartition of nu; b = -1 returns nu itself."""
     t = _require_t(t)
-    if b < -1:
-        raise ValueError("b must be at least -1")
+    b = _require_int(b, "b", -1)
     _require_divisible(nu, t)
     return _smoothing_cells(nu, t, b)
 

@@ -28,6 +28,7 @@ from .hookstats import _require_permutation
 from .partitions import (
     Cell,
     PartitionShape,
+    _require_int,
     _require_t,
     enumerate_partitions,
     hook_length,
@@ -55,8 +56,7 @@ def _coordinate_ranges(t: int, max_n: int) -> list[range]:
 def lattice_core_histogram(t: int, max_n: int) -> tuple[int, ...]:
     """Count zero-sum integer vectors with f_t = n for every n <= max_n."""
     t = _require_t(t)
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    max_n = _require_int(max_n, "max_n", 0)
     ranges = _coordinate_ranges(t, max_n)
     last = ranges[-1]
     counts = [0] * (max_n + 1)
@@ -77,8 +77,7 @@ def lattice_core_histogram(t: int, max_n: int) -> tuple[int, ...]:
 
 def lattice_core_count(t: int, n: int) -> int:
     """Number of zero-sum integer solutions of f_t(p) = n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _require_int(n, "n", 0)
     return lattice_core_histogram(t, n)[n]
 
 
@@ -105,8 +104,7 @@ def mod_solution_count(t: int, n_mod: int) -> int:
 def ball_volume(t: int, n: int) -> float:
     """Volume of the (t-1)-ball cut out by f_t = n inside the hyperplane."""
     t = _require_t(t)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _require_int(n, "n", 0)
     r2 = (2.0 * math.pi / t) * (n + (t * t - 1) / 24.0)
     return r2 ** ((t - 1) / 2.0) / math.gamma((t + 1) / 2.0)
 
@@ -160,8 +158,7 @@ def c3_divisor_counts(max_n: int) -> tuple[int, ...]:
     d that are 1 mod 3 start at d * (d mod 3) and step by 3d, so their n step
     by d.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    max_n = _require_int(max_n, "max_n", 0)
     counts = [0] * (max_n + 1)
     for d in range(1, 3 * max_n + 2):
         r = d % 3

@@ -88,25 +88,29 @@ def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
 MAX_T = 100_000
 
 
-def _require_t(t: int) -> int:
-    # the one check of the modulus t shared by every module; like a part in
-    # make_partition, t is taken as an int through operator.index
+def _require_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """The one check of an integer argument: value taken as an int through
+    operator.index, like a part in make_partition, so 2.0 is refused like
+    2.5 and a bool counts as an int, then held to low..high where given."""
     try:
-        value = operator.index(t)
+        number = operator.index(value)
     except TypeError:
-        raise ValueError(f"t must be an integer, got {t!r}") from None
-    if value < 2:
-        raise ValueError(f"t must be at least 2, got {t!r}")
-    if value > MAX_T:
-        raise ValueError(f"t must be at most {MAX_T}, got {t!r}")
-    return value
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    if high is not None and number > high:
+        raise ValueError(f"{name} must be at most {high}, got {value!r}")
+    return number
+
+
+def _require_t(t: int) -> int:
+    return _require_int(t, "t", 2, MAX_T)
 
 
 def _require_cell(shape: PartitionShape, cell: Cell) -> tuple[int, int]:
     r, c = cell
-    if not shape.contains(Cell(r, c)):
-        raise ValueError(f"cell ({r},{c}) lies outside the diagram of {shape.parts}")
-    return r, c
+    r = _require_int(r, "cell.row", 1, len(shape.parts))
+    return r, _require_int(c, "cell.col", 1, shape.parts[r - 1])
 
 
 def arm_length(shape: PartitionShape, cell: Cell) -> int:
@@ -182,8 +186,7 @@ def enumerate_partitions(n: int) -> Iterator[PartitionShape]:
     The first is (n), the last is (1,...,1); the order is stable so test logs
     can be compared across runs.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    n = _require_int(n, "n", 0)
     if n == 0:
         yield EMPTY
         return

@@ -24,7 +24,7 @@ from functools import partial
 from itertools import accumulate
 
 from .counting import partition_count_table
-from .partitions import EMPTY, PartitionShape
+from .partitions import EMPTY, PartitionShape, _require_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -43,8 +43,9 @@ class SamplerTable:
     zero unless m >= ik + i(i+1)/2, so for 4k > m - 10 only i <= 3 remain:
     sums = S_1, that is sums[x] = p(0) + ... + p(x - 1), sums2 = S_2 and
     sums3 = S_3, each held for x <= n + 1.  count() is the accessor for
-    every k >= 0 and clamps k >= m to p(m); total is p(n).  It refuses m
-    outside 0..n and k < 0, which would read rows and sums from their ends.
+    every k >= 0 and clamps k >= m to p(m); total is p(n).  It takes integers
+    only and refuses m outside 0..n and k < 0, which would read rows and
+    sums from their ends.
     """
 
     n: int
@@ -55,8 +56,8 @@ class SamplerTable:
     total: int
 
     def count(self, m: int, k: int) -> int:
-        if not 0 <= m <= self.n or k < 0:
-            raise ValueError(f"count takes m in 0..{self.n} and k >= 0, got m={m}, k={k}")
+        m = _require_int(m, "m", 0, self.n)
+        k = _require_int(k, "k", 0)
         row = self.rows[m]
         if k < len(row):
             return row[k]
@@ -123,8 +124,7 @@ def build_sampler(n: int) -> SamplerTable:
     n above SAMPLER_MAX_N is refused before anything is allocated: the table
     at the cap alone adds about 130 MB of RSS.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _require_int(n, "n", 0)
     if n > SAMPLER_MAX_N:
         raise ValueError(f"the sampler takes n at most {SAMPLER_MAX_N}, got {n}")
     with _LOCK:
@@ -157,8 +157,7 @@ def _descend(
     column of at most 2.  A cell at n or beyond is never passed, and the
     parts and tail are the whole partition.
     """
-    if not 0 <= rank < table.total:
-        raise ValueError(f"rank must lie in [0, {table.total}), got {rank}")
+    rank = _require_int(rank, "rank", 0, table.total - 1)
     rows = table.rows
     m = cap = table.n
     parts = []
@@ -202,7 +201,8 @@ def unrank_partition(table: SamplerTable, rank: int) -> PartitionShape:
 
 def hook_at(table: SamplerTable, rank: int, cell: int) -> int:
     """The hook length of flat cell `cell` (row-major, from 0) of the
-    partition at rank, without unranking the whole partition.
+    partition at rank, without unranking the whole partition; cell takes the
+    integers 0..n-1 and rank the integers 0..p(n)-1.
 
     The cell (r, c) of a partition lambda has hook lambda_r - c + lambda'_c -
     r + 1, where lambda'_c counts the parts >= c.  Parts come largest first,
@@ -212,8 +212,7 @@ def hook_at(table: SamplerTable, rank: int, cell: int) -> int:
     the tail's counts without building it.
     """
     n = table.n
-    if not 0 <= cell < n:
-        raise ValueError(f"cell must lie in [0, {n}), got {cell}")
+    cell = _require_int(cell, "cell", 0, n - 1)
     parts, m, twos, row, column = _descend(table, rank, cell)
     if row:
         width = parts[row - 1]
@@ -278,9 +277,10 @@ def index_draws(seed: int, count: int, *bounds: int) -> Iterator[tuple[int, ...]
     successive randrange(b) values over bounds, each equal to what a new
     random.Random seeded with _mix64(seed, index) draws: a function of
     (seed, index) only, whatever is drawn between two indices or in another
-    thread.  A bound below 1 is refused when the stream is first advanced."""
-    if not all(bound >= 1 for bound in bounds):
-        raise ValueError(f"bounds must be positive, got {bounds}")
+    thread.  A count below 0 or a bound below 1 is refused when the stream is
+    first advanced."""
+    count = _require_int(count, "count", 0)
+    bounds = tuple([_require_int(b, "each entry of bounds", 1) for b in bounds])
     for index in range(count):
         yield _draws(seed, index, bounds)
 
@@ -290,4 +290,5 @@ def sample_partition(table: SamplerTable, seed: int, index: int) -> PartitionSha
     rank randrange(p(n)) of a new random.Random seeded with
     _mix64(seed, index), unranked.  The seed is taken mod 2^64 (see
     _mix64)."""
+    index = _require_int(index, "index", 0)
     return unrank_partition(table, _draws(seed, index, (table.total,))[0])

@@ -29,6 +29,7 @@ from .partitions import (
     arm_length,
     leg_length,
     hook_lengths,
+    _require_int,
     make_partition,
     remove_rim_hook,
 )
@@ -652,7 +653,7 @@ def check_orbit_equidistribution(max_n: int):
                 totals = [0] * t
                 empty_everywhere = True
                 for member in orbit:
-                    region = hookstats.b_smoothing(member, t, b)
+                    region = hookstats._smoothing_cells(member, t, b)
                     if region.size:
                         empty_everywhere = False
                     for cell in region.cells():
@@ -843,13 +844,12 @@ def run_suite(
         checks = _SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    if max_n < 0:
-        raise ValueError(f"verify needs max_n >= 0; got max_n={max_n}")
+    max_n = _require_int(max_n, "max_n", 0)
     if max_n > counting.SERIES_MAX_N:
         raise ValueError(f"verify is capped at max_n={counting.SERIES_MAX_N} "
                          f"(the counting series cap); got max_n={max_n}")
-    if samples < 1:
-        raise ValueError(f"verify needs samples >= 1; got samples={samples}")
+    samples = _require_int(samples, "samples", 1)
+    seed = _require_int(seed, "seed")
     report = VerificationReport(suite=name, master_seed=seed)
     start = time.perf_counter()
     for fn in checks:

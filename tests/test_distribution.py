@@ -18,8 +18,10 @@ def test_gamma_params():
     assert abs(params.beta - math.pi / math.sqrt(6)) < 1e-15
     with pytest.raises(ValueError):
         dist.gamma_params(1)
-    with pytest.raises(ValueError):
-        dist.GammaParams(0.0, 1.0)
+    for alpha, beta in [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+                        (math.inf, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match=r"^shape and rate must be positive and finite"):
+            dist.GammaParams(alpha, beta)
 
 
 def test_pmf_example_t3_n4():
@@ -77,6 +79,12 @@ def test_gamma_cdf_limits():
     # beta * x underflows to 0 although x > 0
     assert dist.gamma_cdf(dist.GammaParams(1.0, 1e-300), 1e-300) == 0.0
     assert abs(dist.gamma_cdf(params, 60.0) - 1.0) < 1e-12
+    assert dist.gamma_cdf(params, math.inf) == 1.0
+    assert dist.gamma_cdf(params, -math.inf) == 0.0
+    # beta * x overflows to inf although x is finite
+    assert dist.gamma_cdf(dist.GammaParams(1.0, 1e300), 1e300) == 1.0
+    with pytest.raises(ValueError, match=r"^x must be a number, got nan$"):
+        dist.gamma_cdf(params, math.nan)
 
 
 def test_gamma_cdf_exponential_closed_form():

@@ -57,7 +57,7 @@ def test_table_recurrence():
 @pytest.mark.parametrize("m, k", [(10, -1), (4, -5), (-1, 3), (11, 3), (11, 11)])
 def test_count_refuses_cells_off_the_table(m, k):
     table = sp.build_sampler(10)
-    with pytest.raises(ValueError, match="count takes"):
+    with pytest.raises(ValueError, match=r"^[mk] must be at (least 0|most 10), got -?\d+$"):
         table.count(m, k)
 
 
@@ -234,13 +234,14 @@ def test_hook_at_matches_the_full_unrank_at_large_n(data):
 
 def test_hook_at_refuses_ranks_and_cells_off_the_table():
     table = sp.build_sampler(6)
+    refused = rf"^rank must be at (least 0|most {table.total - 1}), got -?\d+$"
     for rank, cell in [(table.total, 0), (-1, 0)]:
-        with pytest.raises(ValueError, match="rank must lie"):
+        with pytest.raises(ValueError, match=refused):
             sp.hook_at(table, rank, cell)
     for rank, cell in [(0, 6), (0, -1)]:
-        with pytest.raises(ValueError, match="cell must lie"):
+        with pytest.raises(ValueError, match=r"^cell must be at (least 0|most 5), got -?\d+$"):
             sp.hook_at(table, rank, cell)
-    with pytest.raises(ValueError, match="cell must lie"):
+    with pytest.raises(ValueError, match=r"^cell must be at most -1, got 0$"):
         sp.hook_at(sp.build_sampler(0), 0, 0)
 
 
@@ -274,7 +275,7 @@ def test_listed_stream_holds_values():
 
 @pytest.mark.parametrize("bounds", [(0,), (5, -1)])
 def test_index_draws_refuse_empty_ranges(bounds):
-    with pytest.raises(ValueError, match="bounds must be positive"):
+    with pytest.raises(ValueError, match=r"^each entry of bounds must be at least 1, got -?\d+$"):
         next(sp.index_draws(3, 5, *bounds))
 
 

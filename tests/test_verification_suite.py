@@ -40,10 +40,10 @@ def test_max_n_above_series_cap_is_refused_before_any_case(monkeypatch):
     with pytest.raises(ValueError):
         verify.run_suite("recording", max_n=counting.SERIES_MAX_N + 1)
     for suite in ("all", "recording"):
-        with pytest.raises(ValueError, match="max_n >= 0"):
+        with pytest.raises(ValueError, match=r"^max_n must be at least 0, got -1$"):
             verify.run_suite(suite, max_n=-1)
         for samples in (0, -5):
-            with pytest.raises(ValueError, match="samples >= 1"):
+            with pytest.raises(ValueError, match=rf"^samples must be at least 1, got {samples}$"):
                 verify.run_suite(suite, max_n=3, samples=samples)
     assert ran == []
     assert verify.run_suite("recording", max_n=3).passed
