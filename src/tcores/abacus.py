@@ -68,6 +68,7 @@ class TRunner:
 
 def make_word(bits: Sequence[int], offset: int) -> AbacusWord:
     """Canonicalize a finite window (bits starting at the given position)."""
+    offset = _require_int(offset, "offset")
     bits = list(bits)
     lo, hi = 0, len(bits)
     while lo < hi and bits[lo] == 1:
@@ -109,6 +110,7 @@ def partition_from_abacus(word: AbacusWord) -> PartitionShape:
 
 def shift(word: AbacusWord, k: int) -> AbacusWord:
     """k-fold left shift: bit i of the result is bit i + k of the input."""
+    k = _require_int(k, "k")
     return AbacusWord(word.window, word.offset - k)
 
 

@@ -89,7 +89,7 @@ def mod_solution_count(t: int, n_mod: int) -> int:
     the value is well defined.  The count is t**(t-2) for every residue.
     """
     t = _require_t(t)
-    target = n_mod % t
+    target = _require_int(n_mod, "n_mod") % t
     count = 0
     for q in itertools.product(range(t), repeat=t):
         s = sum(q)

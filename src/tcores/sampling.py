@@ -277,8 +277,9 @@ def index_draws(seed: int, count: int, *bounds: int) -> Iterator[tuple[int, ...]
     successive randrange(b) values over bounds, each equal to what a new
     random.Random seeded with _mix64(seed, index) draws: a function of
     (seed, index) only, whatever is drawn between two indices or in another
-    thread.  A count below 0 or a bound below 1 is refused when the stream is
-    first advanced."""
+    thread.  A seed that is not an integer, a count below 0 or a bound below
+    1 is refused when the stream is first advanced."""
+    seed = _require_int(seed, "seed")
     count = _require_int(count, "count", 0)
     bounds = tuple([_require_int(b, "each entry of bounds", 1) for b in bounds])
     for index in range(count):
@@ -290,5 +291,6 @@ def sample_partition(table: SamplerTable, seed: int, index: int) -> PartitionSha
     rank randrange(p(n)) of a new random.Random seeded with
     _mix64(seed, index), unranked.  The seed is taken mod 2^64 (see
     _mix64)."""
+    seed = _require_int(seed, "seed")
     index = _require_int(index, "index", 0)
     return unrank_partition(table, _draws(seed, index, (table.total,))[0])

@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,7 @@ from tcores.corequotient import (
     is_core,
     quotient,
 )
-from tcores.counting import core_count_table, divisible_count_table
+from tcores.counting import core_count_table
 from tcores.oracles import (
     all_stripping_results,
     core_by_rim_stripping,
@@ -26,7 +25,6 @@ from tcores.partitions import (
     Cell,
     enumerate_partitions,
     hook_length,
-    hook_lengths,
     make_partition,
 )
 
@@ -113,6 +111,8 @@ INTEGER_ARGUMENTS = {
     "hook_length_row": ("cell.row", 1, lambda r: hook_length(RUNNING, Cell(r, 1))),
     "hook_length_col": ("cell.col", 1, lambda c: hook_length(RUNNING, Cell(1, c))),
     "justified_word": ("offset", None, abacus.justified_word),
+    "make_word": ("offset", None, lambda offset: abacus.make_word([0, 1], offset)),
+    "shift": ("k", None, lambda k: abacus.shift(abacus.justified_word(0), k)),
     "partition_count_table": ("max_n", 0, counting.partition_count_table),
     "core_sum": ("n", 0, lambda n: counting.core_sum(3, n)),
     "f_t": ("each coordinate of p", None, lambda x: counting.f_t((0, x), 2)),
@@ -140,12 +140,16 @@ INTEGER_ARGUMENTS = {
     "unrank_partition": ("rank", 0, lambda rank: sampling.unrank_partition(SAMPLER, rank)),
     "hook_at_rank": ("rank", 0, lambda rank: sampling.hook_at(SAMPLER, rank, 0)),
     "hook_at_cell": ("cell", 0, lambda cell: sampling.hook_at(SAMPLER, 0, cell)),
+    "index_draws_seed": ("seed", None, lambda seed: next(sampling.index_draws(seed, 2, 5))),
     "index_draws_count": ("count", 0, lambda count: next(sampling.index_draws(1, count, 2))),
     "index_draws_bounds": (
         "each entry of bounds", 1, lambda b: next(sampling.index_draws(1, 2, 2, b))),
+    "sample_partition_seed": (
+        "seed", None, lambda seed: sampling.sample_partition(SAMPLER, seed, 0)),
     "sample_partition": ("index", 0, lambda index: sampling.sample_partition(SAMPLER, 1, index)),
     "lattice_core_histogram": ("max_n", 0, lambda n: oracles.lattice_core_histogram(3, n)),
     "lattice_core_count": ("n", 0, lambda n: oracles.lattice_core_count(3, n)),
+    "mod_solution_count": ("n_mod", None, lambda n_mod: oracles.mod_solution_count(3, n_mod)),
     "ball_volume": ("n", 0, lambda n: oracles.ball_volume(3, n)),
     "c3_divisor_counts": ("max_n", 0, oracles.c3_divisor_counts),
     "run_suite_max_n": ("max_n", 0, lambda n: verify.run_suite("partitions", max_n=n)),
@@ -188,7 +192,7 @@ def test_a_bad_integer_argument_is_refused_naming_it(name, value):
     (lambda: list(enumerate_partitions(3.0)), "n must be an integer, got 3.0"),
     (lambda: counting.core_sum_leading_term(4, -5), "n must be at least 0, got -5"),
     (lambda: abacus.shift(abacus.abacus_from_partition(make_partition([1, 1])), 1.5),
-     "offset must be an integer, got -3.5"),
+     "k must be an integer, got 1.5"),
     (lambda: counting.asymptotic_estimates(3, 10.5), "n must be an integer, got 10.5"),
     (lambda: counting.f_t((0.5, -0.5), 2), "each coordinate of p must be an integer, got 0.5"),
     (lambda: list(sampling.index_draws(1, 2, 2.5)),
@@ -221,43 +225,8 @@ def test_division_round_trip(shape, t):
     assert core_by_rim_stripping(dc.divisible, t) == EMPTY
 
 
-@pytest.mark.parametrize("n", range(13))
-@pytest.mark.parametrize("t", [2, 3, 4, 5])
-def test_decompose_injective(n, t):
-    images = {(dc.core, dc.divisible)
-              for dc in (decompose(s, t) for s in enumerate_partitions(n))}
-    assert len(images) == sum(1 for _ in enumerate_partitions(n))
-
-
-@pytest.mark.parametrize("n", range(16))
-def test_core_properties_exhaustive(n):
-    for shape in enumerate_partitions(n):
-        for t in (2, 3, 4, 5):
-            rho = core(shape, t)
-            assert core(rho, t) == rho
-            assert rho.size % t == n % t
-            assert is_core(shape, t) == all(h % t for h in hook_lengths(shape))
-
-
-@pytest.mark.parametrize("n", range(13))
-@pytest.mark.parametrize("t", [2, 3, 4, 5])
-def test_greedy_strip_matches_abacus(n, t):
-    for shape in enumerate_partitions(n):
-        assert core_by_rim_stripping(shape, t) == core(shape, t)
-
-
 @pytest.mark.parametrize("n", range(10))
 @pytest.mark.parametrize("t", [2, 3])
 def test_stripping_order_is_irrelevant(n, t):
     for shape in enumerate_partitions(n):
         assert all_stripping_results(shape, t) == {core(shape, t)}
-
-
-@pytest.mark.parametrize("n", range(19))
-@pytest.mark.parametrize("t", [2, 3, 4, 5])
-def test_fixed_core_size_counts(n, t):
-    hist = Counter(core(s, t).size for s in enumerate_partitions(n))
-    cores = core_count_table(t, n)
-    divis = divisible_count_table(t, n)
-    for i in range(n + 1):
-        assert hist.get(i, 0) == divis[n - i] * cores[i]

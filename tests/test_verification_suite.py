@@ -6,13 +6,54 @@ import pytest
 
 from tcores import abacus, cli, corequotient, counting, sampling, verify
 
+# the params each case reports in the full report, in registration order: the
+# exhaustive finite-n sweeps live only in verify, so these pin their scale,
+# and a lowered cap or a case registered without a row here fails
+FULL_SCALE = {
+    "hook_multiset_conjugation": {"max_n": 30},
+    "arm_leg_hook": {"max_n": 14},
+    "rim_hook_removal": {"max_n": 14},
+    "enumeration_count": {"max_n": 30},
+    "abacus_pair_statistics": {"max_n": 25},
+    "abacus_swap_rim_hook": {"max_n": 20, "t": [2, 3, 4, 5]},
+    "abacus_roundtrip": {"max_n": 25},
+    "core_properties": {"max_n": 25, "t": [2, 3, 4, 5, 6]},
+    "fixed_core_counts": {"max_n": 25, "t": [2, 3, 4, 5]},
+    "division_bijection": {"max_n": 22, "t": [2, 3, 4, 5]},
+    "greedy_strip_oracle": {"max_n": 16, "t": [2, 3, 4, 5]},
+    "triple_oracle": {"series_max_n": 60, "enum_max_n": 30},
+    "core_sum_census": {"max_n": 30, "t": [2, 3, 4, 5]},
+    "core_sum_difference": {"max_n": 200},
+    "growth_ratio": {"t": [3, 4, 5], "N": [100, 400, 1600]},
+    "justification_form": {"max_n": 30, "t": [2, 3, 4, 5]},
+    "mod_solution_counts": {"t": [2, 3, 4, 5]},
+    "c3_divisor_oracle": {"max_n": 200},
+    "volume_identities": {"t": "2..8"},
+    "pmf_exhaustive": {"max_n": 22, "t": [2, 3, 4, 5]},
+    "gamma_function": {},
+    "distance_trend": {"t": 5, "n": [20, 62, 103]},
+    "expectation_trend": {"t": 3, "n": [25, 50, 100]},
+    "moment_trend": {"t": 3, "k": [1, 2, 3]},
+    "residue_identities": {"max_n": 22, "t": [2, 3, 4, 5, 6]},
+    "orbit_table": {"nu": [7, 3, 2], "t": 3},
+    "orbit_equidistribution": {"max_size": 24, "t": 3},
+    "action_properties": {"max_n": 14, "t": [2, 3]},
+    "smoothing_bounds": {"max_n": 20, "t": [2, 3, 4, 5]},
+    "small_hook_bound": {"max_n": 30},
+    "phi_injection": {"max_n": 18, "t": [2, 3, 4]},
+    "residue_trend": {"t": 3, "n": [10, 20]},
+    "sampler_table": {"max_n": 40},
+    "unrank_bijection": {"max_n": 10},
+    "sampler_frequencies": {"n": 8, "samples": 20000, "seed": 2024},
+}
+
 
 def test_all_suites_pass_at_full_scale(full_report):
     failing = [c for c in full_report.cases if not c.passed]
     assert not failing, "; ".join(f"{c.name}: {c.detail}" for c in failing)
     assert full_report.passed
-    names = {c.name for c in full_report.cases}
-    assert len(names) == len(full_report.cases)  # each case reported once
+    # each case reported once, at its pinned scale
+    assert [(c.name, c.params) for c in full_report.cases] == list(FULL_SCALE.items())
 
 
 def test_report_serializes():
