@@ -19,6 +19,7 @@ from tcores.corequotient import core
 from tcores.counting import f_t
 from tcores.partitions import (
     EMPTY,
+    enumerate_partitions,
     hook_lengths,
     make_partition,
 )
@@ -79,6 +80,15 @@ def test_inversion_pairs_match_hooks():
         if word.bit(i) == 0 and word.bit(i + 1) == 1
     )
     assert adjacent == 2
+
+
+@pytest.mark.parametrize("n", range(18))
+def test_pairs_biject_with_cells(n):
+    for shape in enumerate_partitions(n):
+        word = abacus_from_partition(shape)
+        pairs = inversion_pairs(word)
+        assert len(pairs) == n
+        assert sorted(j - i for i, j in pairs) == sorted(hook_lengths(shape))
 
 
 def test_split_matches_worked_runner_block():
@@ -144,3 +154,22 @@ def test_justification_positions_examples():
 def test_roundtrip_on_random_partitions(shape):
     word = abacus_from_partition(shape)
     assert partition_from_abacus(word) == shape
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_zeros_ones_between_pair_are_arm_and_leg(n):
+    from tcores.partitions import arm_length, hook_length, leg_length
+
+    for shape in enumerate_partitions(n):
+        word = abacus_from_partition(shape)
+        stats = sorted(
+            (j - i,
+             sum(1 for k in range(i + 1, j) if word.bit(k) == 0),
+             sum(1 for k in range(i + 1, j) if word.bit(k) == 1))
+            for i, j in inversion_pairs(word)
+        )
+        cells = sorted(
+            (hook_length(shape, c), arm_length(shape, c), leg_length(shape, c))
+            for c in shape.cells()
+        )
+        assert stats == cells

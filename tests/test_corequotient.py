@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from tcores.corequotient import (
     is_core,
     quotient,
 )
-from tcores.counting import core_count_table
+from tcores.counting import core_count_table, divisible_count_table
 from tcores.oracles import (
     all_stripping_results,
     core_by_rim_stripping,
@@ -25,6 +26,7 @@ from tcores.partitions import (
     Cell,
     enumerate_partitions,
     hook_length,
+    hook_lengths,
     make_partition,
 )
 
@@ -225,8 +227,43 @@ def test_division_round_trip(shape, t):
     assert core_by_rim_stripping(dc.divisible, t) == EMPTY
 
 
+@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_decompose_injective(n, t):
+    images = {(dc.core, dc.divisible)
+              for dc in (decompose(s, t) for s in enumerate_partitions(n))}
+    assert len(images) == sum(1 for _ in enumerate_partitions(n))
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_core_properties_exhaustive(n):
+    for shape in enumerate_partitions(n):
+        for t in (2, 3, 4, 5):
+            rho = core(shape, t)
+            assert core(rho, t) == rho
+            assert rho.size % t == n % t
+            assert is_core(shape, t) == all(h % t for h in hook_lengths(shape))
+
+
+@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_greedy_strip_matches_abacus(n, t):
+    for shape in enumerate_partitions(n):
+        assert core_by_rim_stripping(shape, t) == core(shape, t)
+
+
 @pytest.mark.parametrize("n", range(10))
 @pytest.mark.parametrize("t", [2, 3])
 def test_stripping_order_is_irrelevant(n, t):
     for shape in enumerate_partitions(n):
         assert all_stripping_results(shape, t) == {core(shape, t)}
+
+
+@pytest.mark.parametrize("n", range(19))
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_fixed_core_size_counts(n, t):
+    hist = Counter(core(s, t).size for s in enumerate_partitions(n))
+    cores = core_count_table(t, n)
+    divis = divisible_count_table(t, n)
+    for i in range(n + 1):
+        assert hist.get(i, 0) == divis[n - i] * cores[i]

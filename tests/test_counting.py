@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from functools import lru_cache
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcores import counting, oracles
-from tcores.corequotient import core
+from tcores.corequotient import core, is_core
 from tcores.partitions import enumerate_partitions
 
 P_100 = 190569292
@@ -42,6 +43,12 @@ def test_partition_table_basics():
     assert table[4] == 5 and table[5] == 7
     assert table[100] == P_100
     assert table.kind == "p" and table.t is None and table.max_n == 100
+
+
+def test_partition_counts_match_enumeration():
+    table = counting.partition_count_table(18)
+    for n in range(19):
+        assert table[n] == sum(1 for _ in enumerate_partitions(n))
 
 
 def test_two_partition_count_routes_agree():
@@ -189,6 +196,13 @@ def test_staircase_characterization_for_pairs():
         assert c2[n] == (1 if n in triangular else 0)
 
 
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_core_table_matches_brute_force(t):
+    table = counting.core_count_table(t, 16)
+    for n in range(17):
+        assert table[n] == sum(1 for s in enumerate_partitions(n) if is_core(s, t))
+
+
 def test_divisible_table_values():
     d3 = counting.divisible_count_table(3, 12)
     assert d3.values == (1, 0, 0, 3, 0, 0, 9, 0, 0, 22, 0, 0, 51)
@@ -198,6 +212,14 @@ def test_divisible_table_values():
         assert all(table[m] == 0 for m in range(1, t))
 
 
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_divisible_table_matches_brute_force(t):
+    table = counting.divisible_count_table(t, 12)
+    for n in range(13):
+        brute = sum(1 for s in enumerate_partitions(n) if core(s, t).size == 0)
+        assert table[n] == brute
+
+
 def test_core_sum_values():
     assert counting.core_sum(3, 3) == 1
     assert counting.core_sum(3, 4) == 3
@@ -205,6 +227,17 @@ def test_core_sum_values():
     # distinct cores of partitions of 4 under t=3
     cores = {core(s, 3) for s in enumerate_partitions(4)}
     assert {c.parts for c in cores} == {(1,), (3, 1), (2, 1, 1)}
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_core_sum_difference_identity(t):
+    c = counting.core_count_table(t, 120)
+    big = counting.core_sum_table(t, 120)
+    for n in range(121):
+        assert c[n] == big[n] - (big[n - t] if n >= t else 0)
+    assert big.values == tuple(
+        sum(c[n - i * t] for i in range(n // t + 1)) for n in range(121)
+    )
 
 
 def test_quadratic_form_examples():
@@ -238,6 +271,24 @@ def test_lattice_counts():
     assert oracles.lattice_core_histogram(4, 30) == table.values
 
 
+def test_mod_solution_counts():
+    assert oracles.mod_solution_count(3, 0) == 3
+    assert oracles.mod_solution_count(3, 2) == 3
+    assert oracles.mod_solution_count(2, 1) == 1
+    assert oracles.mod_solution_count(5, 4) == 125
+
+
+def test_covolume_and_volume():
+    assert abs(oracles.lattice_covolume(4) - 2.0) < 1e-12
+    for t in range(2, 9):
+        assert abs(oracles.lattice_covolume(t) ** 2 - t) < 1e-12
+    # one-dimensional ball: the closed form collapses to 2*sqrt(n + 1/8)
+    assert abs(oracles.ball_volume(2, 10) - 2.0 * math.sqrt(10.125)) < 1e-12
+    for t in (2, 3, 4, 5):
+        lead = counting.core_sum_leading_term(t, 50)
+        assert abs(lead - oracles.ball_volume(t, 50) / t**1.5) < 1e-12 * lead
+
+
 def test_leading_term_tracks_core_sums():
     for t in (3, 4, 5):
         table = counting.core_sum_table(t, 1200)
@@ -246,6 +297,13 @@ def test_leading_term_tracks_core_sums():
             for n in (300, 600, 1200)
         ]
         assert errs[-1] < 0.05
+
+
+def test_c3_divisor_oracle():
+    counts = oracles.c3_divisor_counts(200)
+    assert counts[1] == 1   # divisors of 4: +1 -1 +1
+    assert counts[3] == 0   # divisors of 10: +1 -1 -1 +1
+    assert counts == counting.core_count_table(3, 200).values
 
 
 def test_asymptotic_estimates():

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from tcores import distribution as dist
+from tcores.corequotient import core
 from tcores.hookstats import exact_residue_distribution
+from tcores.partitions import enumerate_partitions
 
 SQRT6_OVER_PI = math.sqrt(6.0) / math.pi
 
@@ -40,6 +43,15 @@ def test_pmf_figure_parameters():
     assert all(0 <= k <= 103 for k in pmf.masses)
 
 
+@pytest.mark.parametrize("n", range(15))
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_pmf_matches_enumeration(n, t):
+    hist = Counter(core(s, t).size for s in enumerate_partitions(n))
+    total = sum(hist.values())
+    pmf = dist.core_size_pmf(t, n)
+    assert pmf.masses == {k: Fraction(v, total) for k, v in hist.items()}
+
+
 def test_scaled_moment_constant():
     pmf = dist.core_size_pmf(3, 50)
     assert dist.scaled_moment(pmf, 0) == 1.0
@@ -73,6 +85,20 @@ def test_gamma_cdf_limits():
     assert dist.gamma_cdf(dist.GammaParams(1.0, 1e300), 1e300) == 1.0
     with pytest.raises(ValueError, match=r"^x must be a number, got nan$"):
         dist.gamma_cdf(params, math.nan)
+
+
+def test_gamma_cdf_exponential_closed_form():
+    params = dist.gamma_params(3)  # alpha = 1
+    for x in (0.5, 1.0, 2.0):
+        assert abs(
+            dist.gamma_cdf(params, x) - (1.0 - math.exp(-params.beta * x))
+        ) < 1e-10
+
+
+def test_gamma_cdf_error_function_closed_form():
+    params = dist.GammaParams(0.5, 1.0)  # the t=2 shape
+    for x in (0.1, 0.7, 1.9, 6.0):
+        assert abs(dist.gamma_cdf(params, x) - math.erf(math.sqrt(x))) < 1e-10
 
 
 def test_gamma_moment_values():

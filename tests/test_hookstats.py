@@ -53,6 +53,14 @@ def test_small_hook_count_examples():
         hs.small_hook_count(shape, -1)
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_small_hook_bound(n):
+    root = math.sqrt(2.0 * n)
+    for shape in enumerate_partitions(n):
+        for m in range(1, n + 1):
+            assert hs.small_hook_count(shape, m) < m * root
+
+
 def test_exact_distribution_hand_example():
     assert hs.exact_residue_distribution(2, 2) == (Fraction(1, 2), Fraction(1, 2))
 
@@ -202,6 +210,16 @@ def test_action_on_partition_preserves_size_and_core():
     assert len(images) == 6
 
 
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("t", [2, 3])
+def test_action_routes_agree_exhaustively(n, t):
+    for shape in enumerate_partitions(n):
+        for sigma in permutations(range(t)):
+            assert hs.act_on_partition(sigma, shape, t) == (
+                act_on_partition_via_shifts(sigma, shape, t)
+            )
+
+
 def test_orbit_listing():
     orbit = hs.s_t_orbit(NU, 3)
     assert {o.parts for o in orbit} == set(ORBIT_TABLE.values())
@@ -278,6 +296,15 @@ def test_canonical_smoothing_divisible_input():
     assert cells == hs.b_smoothing(NU, 3, 0)
 
 
+@pytest.mark.parametrize("n", range(15))
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_canonical_smoothing_bound(n, t):
+    for shape in enumerate_partitions(n):
+        rho = core(shape, t)
+        b, _ = hs.canonical_smoothing(shape, t)
+        assert b <= 2.0 * math.sqrt(rho.size) + 1e-12
+
+
 def test_phi_worked_example():
     lam = make_partition([10, 3])
     mapping = hs.phi_map(lam, 3)
@@ -293,6 +320,29 @@ def test_phi_empty_for_cores():
     assert hs.phi_map(make_partition([2, 1, 1]), 3) == {}
 
 
+@pytest.mark.parametrize("n", range(12))
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_phi_injective_residue_preserving(n, t):
+    for shape in enumerate_partitions(n):
+        dc = decompose(shape, t)
+        mapping = hs.phi_map(shape, t)
+        assert len(set(mapping.values())) == len(mapping)
+        for src, dst in mapping.items():
+            assert hook_length(dc.divisible, src) % t == hook_length(shape, dst) % t
+
+
+@pytest.mark.parametrize("n", range(15))
+@pytest.mark.parametrize("t", [2, 3])
+def test_coverage_bound_weak_form(n, t):
+    # equality can occur (for instance the single-column ribbon shapes), so
+    # only the non-strict form holds in general
+    for shape in enumerate_partitions(n):
+        dc = decompose(shape, t)
+        b, cells = hs.canonical_smoothing(shape, t)
+        uncovered = dc.divisible.size - cells.size
+        assert uncovered <= hs.small_hook_count(dc.divisible, t * (b + 1))
+
+
 def test_coverage_bound_equality_case():
     # lambda = (3) with t = 3: nu = (3), C = (1), both sides equal 2
     lam = make_partition([3])
@@ -300,6 +350,24 @@ def test_coverage_bound_equality_case():
     b, cells = hs.canonical_smoothing(lam, 3)
     assert dc.divisible == lam and b == 0 and cells.parts == (1,)
     assert dc.divisible.size - cells.size == hs.small_hook_count(lam, 3) == 2
+
+
+@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_residue_identities_exhaustive(n, t):
+    for shape in enumerate_partitions(n):
+        rho = core(shape, t)
+        counts = hs.residue_census(shape, t)
+        core_counts = hs.residue_census(rho, t)
+        moved = (n - rho.size) // t
+        assert counts[0] == moved
+        for r in range(1, t):
+            if 2 * r == t:
+                assert counts[r] == moved + core_counts[r]
+            else:
+                assert counts[r] + counts[t - r] == (
+                    2 * moved + core_counts[r] + core_counts[t - r]
+                )
 
 
 def test_orbit_equidistribution_hand_check():

@@ -139,3 +139,11 @@ def test_enumerate_distinct_and_ordered(n):
     parts = [p.parts for p in seen]
     assert parts == sorted(parts, reverse=True)  # reverse-lexicographic
     assert all(p.size == n for p in seen)
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_hook_multiset_invariant_under_conjugation(n):
+    for shape in enumerate_partitions(n):
+        hooks = hook_lengths(shape)
+        assert len(hooks) == n
+        assert sorted(hooks) == sorted(hook_lengths(conjugate(shape)))

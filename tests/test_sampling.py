@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from collections import Counter
 from functools import cache
 from itertools import accumulate, islice
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tcores import sampling as sp
 from tcores.counting import partition_count_table
 from tcores.oracles import sampler_rows_dense, unrank_by_bisection
-from tcores.partitions import EMPTY, hook_length, make_partition
+from tcores.partitions import EMPTY, enumerate_partitions, hook_length, make_partition
 
 ORACLE_N = 600
 
@@ -42,7 +43,15 @@ def test_table_values():
     assert table.count(0, 0) == 1
     assert table.count(3, 1) == 1
     assert table.count(4, 2) == 3  # (2,2), (2,1,1), (1,1,1,1)
-    assert table.count(0, 5) == 1  # k past n clamps to p(m)
+
+
+def test_table_recurrence():
+    table = sp.build_sampler(30)
+    for m in range(1, 31):
+        for k in range(1, m + 1):
+            assert table.count(m, k) == table.count(m - k, k) + table.count(m, k - 1)
+        assert table.count(m, 0) == 0
+    assert table.count(0, 5) == 1
 
 
 @pytest.mark.parametrize("m, k", [(10, -1), (4, -5), (-1, 3), (11, 3), (11, 11)])
@@ -57,6 +66,14 @@ def test_table_matches_partition_counts():
     counts = partition_count_table(100)
     for m in range(101):
         assert table.count(m, m) == counts[m]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_unrank_is_a_bijection(n):
+    table = sp.build_sampler(n)
+    images = [sp.unrank_partition(table, r) for r in range(table.total)]
+    assert len(set(images)) == table.total
+    assert set(images) == set(enumerate_partitions(n))
 
 
 def test_unrank_range_check():
@@ -103,6 +120,15 @@ def test_samples_independent_of_visit_order():
     forward = [sp.sample_partition(table, 77, i) for i in range(50)]
     backward = [sp.sample_partition(table, 77, i) for i in reversed(range(50))]
     assert forward == list(reversed(backward))
+
+
+def test_empirical_uniformity_n8():
+    table = sp.build_sampler(8)
+    samples = 20000
+    counts = Counter(sp.sample_partition(table, 4242, i) for i in range(samples))
+    assert set(counts) <= set(enumerate_partitions(8))
+    for shape in enumerate_partitions(8):
+        assert abs(counts[shape] / samples - 1.0 / 22.0) < 0.01
 
 
 def test_build_sampler_rejects_negative():
