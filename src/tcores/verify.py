@@ -3,8 +3,10 @@ identity the library relies on, runnable from the CLI.
 
 Each case compares a production code path against an independent route
 (exhaustive enumeration, a second formula, or a closed form) and reports a
-CaseResult; a suite passes only if every case does.  max_n caps the
-exhaustive sweeps so the whole run stays interactive.
+CaseResult; a suite passes only if every case does.  An exhaustive sweep is
+one private predicate that judges a single n (and t) under its stated cap and
+t list; one runner sweeps it up to min(max_n, cap), and `point` runs a single
+point of it, so a unit test checks the identity through the same body.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import functools
 import json
 import math
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -98,11 +101,56 @@ def _fail(params: dict, detail: str) -> tuple[dict, bool, str]:
     return params, False, detail
 
 
+# sweep case name -> (its predicate, cap, t list or None)
+_SWEEPS: dict[str, tuple] = {}
+
+
+def _sweep(suite: str, name: str, cap: int, ts: range | None = None):
+    """Register the predicate below as the sweep case `name` of `suite`, and
+    bind its name to the case's check(max_n).  The predicate judges one point,
+    `point(n, t)` for each t of `ts` or `point(n)` without a t list, and
+    returns None or (the failing row's extra keys, detail); the check runs it
+    at n = 0..min(max_n, cap) and fails at the first row {"n", "t", **extra}."""
+    def register(predicate):
+        _SWEEPS[name] = predicate, cap, ts
+        rows = [{}] if ts is None else [{"t": t} for t in ts]
+
+        def sweep(max_n: int):
+            limit = min(max_n, cap)
+            for n in range(limit + 1):
+                for row in rows:
+                    failure = predicate(n, **row)
+                    if failure is not None:
+                        extra, detail = failure
+                        return _fail({"n": n, **row, **extra}, detail)
+            return {"max_n": limit} if ts is None else {"max_n": limit, "t": list(ts)}
+
+        return _check(suite, name)(functools.update_wrapper(sweep, predicate))
+
+    return register
+
+
+def point(name: str, n: int, t: int | None = None):
+    """The predicate of the sweep case `name` at n (and t): None or (the
+    failing row's extra keys, detail), with n held to its cap, t to its list."""
+    if name not in _SWEEPS:
+        raise ValueError(f"unknown sweep case {name!r}; choose from {sorted(_SWEEPS)}")
+    predicate, cap, ts = _SWEEPS[name]
+    n = _require_int(n, "n", 0, cap)
+    if ts is not None:
+        return predicate(n, _require_int(t, "t", ts[0], ts[-1]))
+    if t is not None:
+        raise ValueError(f"{name} has no t list, got t={t!r}")
+    return predicate(n)
+
+
 # ---------------------------------------------------------------------------
 # the shared corpus
 #
-# Many cases sweep the same partitions and their t-cores.  Each is built once
-# per process; the case caps bound it to n <= 30 and t <= 6 (about 15 MB).
+# Many cases sweep the same partitions, their words, t-cores and divisible
+# parts.  Each is built once per process, so no point rebuilds what another
+# point or case already has; the case caps bound it all to n <= 30 and t <= 6
+# (about 18 MB, 3 MB of it the words and divisible parts).
 
 
 @functools.cache
@@ -111,8 +159,18 @@ def _shapes(n: int) -> tuple[PartitionShape, ...]:
 
 
 @functools.cache
+def _index(n: int) -> dict[PartitionShape, int]:
+    return {shape: i for i, shape in enumerate(_shapes(n))}
+
+
+@functools.cache
 def _hooks(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(hook_lengths(shape) for shape in _shapes(n))
+
+
+@functools.cache
+def _words(n: int) -> tuple[abacus.AbacusWord, ...]:
+    return tuple(abacus.abacus_from_partition(shape) for shape in _shapes(n))
 
 
 @functools.cache
@@ -125,234 +183,178 @@ def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
     return tuple(interned[v] for v in vectors)
 
 
+@functools.cache
+def _divisibles(n: int, t: int) -> tuple[PartitionShape, ...]:
+    # the divisible part is its quotient assembled on balanced runners: each
+    # shape is divided once and each distinct quotient assembled once
+    quotients = [corequotient._divide(shape, t)[1] for shape in _shapes(n)]
+    interned = {q: corequotient._assemble((0,) * t, q, t) for q in set(quotients)}
+    return tuple(interned[q] for q in quotients)
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
 
-@_check("partitions", "hook_multiset_conjugation")
-def check_hook_multisets(max_n: int):
+@_sweep("partitions", "hook_multiset_conjugation", 30)
+def check_hook_multisets(n: int):
     """Hooks of each shape against its conjugate's hooks, n <= 30."""
-    limit = min(max_n, 30)
-    for n in range(limit + 1):
-        for shape, hooks in zip(_shapes(n), _hooks(n)):
-            hooks = sorted(hooks)
-            if len(hooks) != n or hooks != sorted(hook_lengths(conjugate(shape))):
-                return _fail({"n": n}, f"failed at {shape.parts}")
-    return {"max_n": limit}
+    for shape, hooks in zip(_shapes(n), _hooks(n)):
+        hooks = sorted(hooks)
+        if len(hooks) != n or hooks != sorted(hook_lengths(conjugate(shape))):
+            return {}, f"failed at {shape.parts}"
 
 
-@_check("partitions", "arm_leg_hook")
-def check_arm_leg_hook(max_n: int):
+@_sweep("partitions", "arm_leg_hook", 14)
+def check_arm_leg_hook(n: int):
     """arm + leg + 1 against hook_length cell by cell, n <= 14."""
-    limit = min(max_n, 14)
-    for n in range(limit + 1):
-        for shape in _shapes(n):
-            for cell in shape.cells():
-                if (arm_length(shape, cell) + leg_length(shape, cell) + 1
-                        != hook_length(shape, cell)):
-                    return _fail({"n": n}, f"failed at {shape.parts} {cell}")
-    return {"max_n": limit}
+    for shape in _shapes(n):
+        for cell in shape.cells():
+            if (arm_length(shape, cell) + leg_length(shape, cell) + 1
+                    != hook_length(shape, cell)):
+                return {}, f"failed at {shape.parts} {cell}"
 
 
-@_check("partitions", "rim_hook_removal")
-def check_rim_hook_removal(max_n: int):
+@_sweep("partitions", "rim_hook_removal", 14)
+def check_rim_hook_removal(n: int):
     """Sizes after the rim walk against n minus the hook, n <= 14."""
-    limit = min(max_n, 14)
-    for n in range(limit + 1):
-        for shape in _shapes(n):
-            for cell in shape.cells():
-                h = hook_length(shape, cell)
-                smaller = remove_rim_hook(shape, cell)
-                if smaller.size != n - h:
-                    return _fail({"n": n}, f"bad size at {shape.parts} {cell}")
-    return {"max_n": limit}
+    for shape in _shapes(n):
+        for cell in shape.cells():
+            if remove_rim_hook(shape, cell).size != n - hook_length(shape, cell):
+                return {}, f"bad size at {shape.parts} {cell}"
 
 
-@_check("partitions", "enumeration_count")
-def check_enumeration_count(max_n: int):
+@_sweep("partitions", "enumeration_count", 40)
+def check_enumeration_count(n: int):
     """Enumerated partitions against the p series, n <= 40."""
-    limit = min(max_n, 40)
-    table = counting.partition_count_table(limit)
-    for n in range(limit + 1):
-        if sum(1 for _ in enumerate_partitions(n)) != table[n]:
-            return _fail({"n": n}, "count mismatch")
-    return {"max_n": limit}
+    if sum(1 for _ in enumerate_partitions(n)) != counting.partition_count_table(n)[n]:
+        return {}, "count mismatch"
 
 
 # ---------------------------------------------------------------------------
 # abacus
 
 
-@_check("abacus", "abacus_pair_statistics")
-def check_pair_statistics(max_n: int):
+@_sweep("abacus", "abacus_pair_statistics", 25)
+def check_pair_statistics(n: int):
     """Bit-word pair spans and bit counts against hooks, arms and legs, n <= 25."""
-    limit = min(max_n, 25)
-    for n in range(limit + 1):
-        for shape in _shapes(n):
-            word = abacus.abacus_from_partition(shape)
-            pairs = abacus.inversion_pairs(word)
-            if len(pairs) != n:
-                return _fail({"n": n}, f"pair count at {shape.parts}")
-            # the leg counts the 1s strictly between the pair, the arm its 0s
-            ones = list(accumulate(word.window, initial=0))
-            legs = [ones[j - word.offset] - ones[i - word.offset] for i, j in pairs]
-            stats = sorted((j - i, j - i - 1 - leg, leg)
-                           for (i, j), leg in zip(pairs, legs))
-            cells = sorted(
-                (hook_length(shape, c), arm_length(shape, c), leg_length(shape, c))
-                for c in shape.cells()
-            )
-            if stats != cells:
-                return _fail({"n": n}, f"hook/arm/leg mismatch at {shape.parts}")
-    return {"max_n": limit}
+    for shape, word in zip(_shapes(n), _words(n)):
+        pairs = abacus.inversion_pairs(word)
+        if len(pairs) != n:
+            return {}, f"pair count at {shape.parts}"
+        # the leg counts the 1s strictly between the pair, the arm its 0s
+        ones = list(accumulate(word.window, initial=0))
+        legs = [ones[j - word.offset] - ones[i - word.offset] for i, j in pairs]
+        stats = sorted((j - i, j - i - 1 - leg, leg) for (i, j), leg in zip(pairs, legs))
+        cells = sorted(
+            (hook_length(shape, c), arm_length(shape, c), leg_length(shape, c))
+            for c in shape.cells()
+        )
+        if stats != cells:
+            return {}, f"hook/arm/leg mismatch at {shape.parts}"
 
 
-@_check("abacus", "abacus_swap_rim_hook")
-def check_swap_is_rim_hook(max_n: int):
+@_sweep("abacus", "abacus_swap_rim_hook", 20, range(2, 6))
+def check_swap_is_rim_hook(n: int, t: int):
     """Swapping a bead pair t apart against the rim walk, n <= 20, t = 2..5."""
-    limit = min(max_n, 20)
-    ts = [2, 3, 4, 5]
-    for n in range(limit + 1):
-        for shape in _shapes(n):
-            word = abacus.abacus_from_partition(shape)
-            # cell lookup keyed by bead pair
-            beads = {}
-            for r, width in enumerate(shape.parts, start=1):
-                j_pos = width - r
-                for c in range(1, width + 1):
-                    h = hook_length(shape, Cell(r, c))
-                    beads[(j_pos - h, j_pos)] = Cell(r, c)
-            window = word.window
-            for t in ts:
-                # the word is 1 below its window and 0 above it, so a 0 with a
-                # 1 t places on lies inside the window
-                for k in range(len(window) - t):
-                    if window[k] == 0 and window[k + t] == 1:
-                        bits = list(window)
-                        bits[k], bits[k + t] = 1, 0
-                        swapped = abacus.partition_from_abacus(
-                            abacus.make_word(bits, word.offset)
-                        )
-                        i = word.offset + k
-                        expected = remove_rim_hook(shape, beads[(i, i + t)])
-                        if swapped != expected:
-                            return _fail({"n": n, "t": t},
-                                         f"mismatch at {shape.parts} pair ({i},{i+t})")
-    return {"max_n": limit, "t": ts}
+    for shape, word, hooks in zip(_shapes(n), _words(n), _hooks(n)):
+        # a bead and the gap h below it are the cell of the bead's row with
+        # hook h; the hooks run row by row, row r's from starts[r]
+        beads = _beads(shape.parts)
+        starts = list(accumulate(shape.parts, initial=0))
+        window = word.window
+        # the word is 1 below its window and 0 above it, so a 0 with a 1 t
+        # places on lies inside the window
+        for k in range(len(window) - t):
+            if window[k] == 0 and window[k + t] == 1:
+                bits = list(window)
+                bits[k], bits[k + t] = 1, 0
+                swapped = abacus.partition_from_abacus(abacus.make_word(bits, word.offset))
+                i = word.offset + k
+                r = beads.index(i + t)
+                c = hooks.index(t, starts[r], starts[r + 1]) - starts[r]
+                if swapped != remove_rim_hook(shape, Cell(r + 1, c + 1)):
+                    return {}, f"mismatch at {shape.parts} pair ({i},{i+t})"
 
 
-@_check("abacus", "abacus_roundtrip")
-def check_word_roundtrip(max_n: int):
+@_sweep("abacus", "abacus_roundtrip", 25)
+def check_word_roundtrip(n: int):
     """The word's 1-positions against the bead positions read off the parts
     (corequotient._beads), then its read-back, shifts and runners, n <= 25."""
-    limit = min(max_n, 25)
-    for n in range(limit + 1):
-        for shape in _shapes(n):
-            word = abacus.abacus_from_partition(shape)
-            ones = [word.offset + k for k, bit in enumerate(word.window) if bit]
-            if ones[::-1] != _beads(shape.parts):
-                return _fail({"n": n}, f"bead positions differ at {shape.parts}")
-            if abacus.partition_from_abacus(word) != shape:
-                return _fail({"n": n}, f"read-back failed for {shape.parts}")
-            if abacus.abacus_from_partition(abacus.partition_from_abacus(word)) != word:
-                return _fail({"n": n}, f"identity failed for {shape.parts}")
-            for k in (-3, 1, 2):
-                if abacus.partition_from_abacus(abacus.shift(word, k)) != shape:
-                    return _fail({"n": n}, f"shift invariance failed for {shape.parts}")
-            for t in (2, 3, 5):
-                if abacus.merge_runners(abacus.split_runners(word, t)) != word:
-                    return _fail({"n": n}, f"split/merge failed for {shape.parts}")
-    return {"max_n": limit}
+    for shape, word in zip(_shapes(n), _words(n)):
+        ones = [word.offset + k for k, bit in enumerate(word.window) if bit]
+        if ones[::-1] != _beads(shape.parts):
+            return {}, f"bead positions differ at {shape.parts}"
+        if abacus.partition_from_abacus(word) != shape:
+            return {}, f"read-back failed for {shape.parts}"
+        if abacus.abacus_from_partition(abacus.partition_from_abacus(word)) != word:
+            return {}, f"identity failed for {shape.parts}"
+        for k in (-3, 1, 2):
+            if abacus.partition_from_abacus(abacus.shift(word, k)) != shape:
+                return {}, f"shift invariance failed for {shape.parts}"
+        for t in (2, 3, 5):
+            if abacus.merge_runners(abacus.split_runners(word, t)) != word:
+                return {}, f"split/merge failed for {shape.parts}"
 
 
 # ---------------------------------------------------------------------------
 # core / quotient
 
 
-@_check("corequotient", "core_properties")
-def check_core_properties(max_n: int):
+@_sweep("corequotient", "core_properties", 25, range(2, 7))
+def check_core_properties(n: int, t: int):
     """The core against the hook criterion (no hook divisible by t), n <= 25."""
-    limit = min(max_n, 25)
-    ts = [2, 3, 4, 5, 6]
-    idempotent = set()  # (t, core) pairs already checked
-    for n in range(limit + 1):
-        cores = [_cores(n, t) for t in ts]
-        for i, (shape, hooks) in enumerate(zip(_shapes(n), _hooks(n))):
-            for t, rhos in zip(ts, cores):
-                rho = rhos[i]
-                if (t, rho) not in idempotent:
-                    if core(rho, t) != rho:
-                        return _fail({"n": n, "t": t},
-                                     f"not idempotent at {shape.parts}")
-                    idempotent.add((t, rho))
-                if rho.size % t != n % t:
-                    return _fail({"n": n, "t": t}, f"congruence fails at {shape.parts}")
-                hook_free = not any(h % t == 0 for h in hooks)
-                if is_core(shape, t) != hook_free or (rho == shape) != hook_free:
-                    return _fail({"n": n, "t": t},
-                                 f"hook criterion fails at {shape.parts}")
-    return {"max_n": limit, "t": ts}
+    for rho in dict.fromkeys(_cores(n, t)):  # each distinct core once
+        if core(rho, t) != rho:
+            return {}, f"not idempotent at {rho.parts}"
+    for shape, hooks, rho in zip(_shapes(n), _hooks(n), _cores(n, t)):
+        if rho.size % t != n % t:
+            return {}, f"congruence fails at {shape.parts}"
+        hook_free = not any(h % t == 0 for h in hooks)
+        if is_core(shape, t) != hook_free or (rho == shape) != hook_free:
+            return {}, f"hook criterion fails at {shape.parts}"
 
 
-@_check("corequotient", "fixed_core_counts")
-def check_fixed_core_counts(max_n: int):
+@_sweep("corequotient", "fixed_core_counts", 25, range(2, 6))
+def check_fixed_core_counts(n: int, t: int):
     """Enumerated core sizes against c_t(i) d_t(n - i), n <= 25, t = 2..5."""
-    limit = min(max_n, 25)
-    ts = [2, 3, 4, 5]
-    for t in ts:
-        cores_tab = counting.core_count_table(t, limit)
-        divis_tab = counting.divisible_count_table(t, limit)
-        for n in range(limit + 1):
-            hist = Counter(rho.size for rho in _cores(n, t))
-            for i in range(n + 1):
-                if hist.get(i, 0) != divis_tab[n - i] * cores_tab[i]:
-                    return _fail({"n": n, "t": t, "i": i}, "product formula mismatch")
-    return {"max_n": limit, "t": ts}
+    hist = Counter(rho.size for rho in _cores(n, t))
+    cores = counting.core_count_table(t, n)
+    divisibles = counting.divisible_count_table(t, n)
+    for i in range(n + 1):
+        if hist.get(i, 0) != divisibles[n - i] * cores[i]:
+            return {"i": i}, "product formula mismatch"
 
 
-@_check("corequotient", "division_bijection")
-def check_division_bijection(max_n: int):
+@_sweep("corequotient", "division_bijection", 22, range(2, 6))
+def check_division_bijection(n: int, t: int):
     """_divide against split_runners and justify on each runner, n <= 22, t = 2..5."""
-    limit = min(max_n, 22)
-    ts = [2, 3, 4, 5]
-    for t in ts:
-        for n in range(limit + 1):
-            seen = set()
-            for shape in _shapes(n):
-                dc = decompose(shape, t)
-                if dc.core.size + dc.divisible.size != n:
-                    return _fail({"n": n, "t": t},
-                                 f"size identity fails at {shape.parts}")
-                if dc.divisible.size != t * sum(q.size for q in dc.quotient):
-                    return _fail({"n": n, "t": t},
-                                 f"quotient size fails at {shape.parts}")
-                key = (dc.core, dc.divisible)
-                if key in seen:
-                    return _fail({"n": n, "t": t}, f"not injective at {shape.parts}")
-                seen.add(key)
-                if compose(dc.core, dc.quotient, t) != shape:
-                    return _fail({"n": n, "t": t}, f"round trip fails at {shape.parts}")
-                word = abacus.abacus_from_partition(shape)
-                runners = abacus.split_runners(word, t).runners
-                if corequotient._divide(shape, t) != (
-                        tuple(abacus.justify(r)[1] for r in runners),
-                        tuple(abacus.partition_from_abacus(r) for r in runners)):
-                    return _fail({"n": n, "t": t},
-                                 f"runner route differs at {shape.parts}")
-    return {"max_n": limit, "t": ts}
+    seen = set()
+    for shape, word in zip(_shapes(n), _words(n)):
+        dc = decompose(shape, t)
+        if dc.core.size + dc.divisible.size != n:
+            return {}, f"size identity fails at {shape.parts}"
+        if dc.divisible.size != t * sum(q.size for q in dc.quotient):
+            return {}, f"quotient size fails at {shape.parts}"
+        key = (dc.core, dc.divisible)
+        if key in seen:
+            return {}, f"not injective at {shape.parts}"
+        seen.add(key)
+        if compose(dc.core, dc.quotient, t) != shape:
+            return {}, f"round trip fails at {shape.parts}"
+        runners = abacus.split_runners(word, t).runners
+        if corequotient._divide(shape, t) != (
+                tuple(abacus.justify(r)[1] for r in runners),
+                tuple(abacus.partition_from_abacus(r) for r in runners)):
+            return {}, f"runner route differs at {shape.parts}"
 
 
-@_check("corequotient", "greedy_strip_oracle")
-def check_strip_oracle(max_n: int):
+@_sweep("corequotient", "greedy_strip_oracle", 16, range(2, 6))
+def check_strip_oracle(n: int, t: int):
     """The core against greedy rim-hook stripping, n <= 16, t = 2..5."""
-    limit = min(max_n, 16)
-    ts = [2, 3, 4, 5]
-    for n in range(limit + 1):
-        for i, shape in enumerate(_shapes(n)):
-            for t in ts:
-                if _cores(n, t)[i] != oracles.core_by_rim_stripping(shape, t):
-                    return _fail({"n": n, "t": t}, f"mismatch at {shape.parts}")
-    return {"max_n": limit, "t": ts}
+    for shape, rho in zip(_shapes(n), _cores(n, t)):
+        if rho != oracles.core_by_rim_stripping(shape, t):
+            return {}, f"mismatch at {shape.parts}"
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +378,11 @@ def check_triple_oracle(max_n: int):
     return {"series_max_n": gf_limit, "enum_max_n": enum_limit}
 
 
-@_check("counting", "core_sum_census")
-def check_core_sum_census(max_n: int):
+@_sweep("counting", "core_sum_census", 30, range(2, 6))
+def check_core_sum_census(n: int, t: int):
     """C_t against the distinct cores of enumerated partitions, n <= 30, t = 2..5."""
-    limit = min(max_n, 30)
-    ts = [2, 3, 4, 5]
-    for t in ts:
-        table = counting.core_sum_table(t, limit)
-        for n in range(limit + 1):
-            distinct = set(_cores(n, t))
-            if len(distinct) != table[n]:
-                return _fail({"t": t, "n": n}, "distinct-core census mismatch")
-    return {"max_n": limit, "t": ts}
+    if len(set(_cores(n, t))) != counting.core_sum_table(t, n)[n]:
+        return {}, "distinct-core census mismatch"
 
 
 @_check("counting", "core_sum_difference")
@@ -422,20 +417,15 @@ def check_growth_ratio(max_n: int):
     return {"t": ts, "N": horizons}
 
 
-@_check("counting", "justification_form")
-def check_justification_form(max_n: int):
+@_sweep("counting", "justification_form", 30, range(2, 6))
+def check_justification_form(n: int, t: int):
     """f_t of each core's justification vector against its size, n <= 30, t = 2..5."""
-    limit = min(max_n, 30)
-    ts = [2, 3, 4, 5]
-    for n in range(limit + 1):
-        for t in ts:
-            for shape, hooks in zip(_shapes(n), _hooks(n)):
-                if any(h % t == 0 for h in hooks):
-                    continue
-                vec = justification_vector(shape, t)
-                if sum(vec) != 0 or counting.f_t(vec, t) != n:
-                    return _fail({"n": n, "t": t}, f"form value wrong at {shape.parts}")
-    return {"max_n": limit, "t": ts}
+    for shape, hooks in zip(_shapes(n), _hooks(n)):
+        if any(h % t == 0 for h in hooks):
+            continue
+        vec = justification_vector(shape, t)
+        if sum(vec) != 0 or counting.f_t(vec, t) != n:
+            return {}, f"form value wrong at {shape.parts}"
 
 
 @_check("counting", "mod_solution_counts")
@@ -488,22 +478,17 @@ def check_volume_identities(max_n: int):
 # distribution
 
 
-@_check("distribution", "pmf_exhaustive")
-def check_pmf_exhaustive(max_n: int):
+@_sweep("distribution", "pmf_exhaustive", 22, range(2, 6))
+def check_pmf_exhaustive(n: int, t: int):
     """Each core-size mass against enumerated partitions' cores, n <= 22, t = 2..5."""
-    limit = min(max_n, 22)
-    ts = [2, 3, 4, 5]
-    for t in ts:
-        for n in range(limit + 1):
-            pmf = distribution.core_size_pmf(t, n)
-            if pmf.total() != 1:
-                return _fail({"t": t, "n": n}, "masses do not sum to 1")
-            hist = Counter(rho.size for rho in _cores(n, t))
-            total = sum(hist.values())
-            for k in set(hist) | set(pmf.masses):
-                if pmf.masses.get(k, Fraction(0)) != Fraction(hist.get(k, 0), total):
-                    return _fail({"t": t, "n": n, "k": k}, "mass mismatch")
-    return {"max_n": limit, "t": ts}
+    pmf = distribution.core_size_pmf(t, n)
+    if pmf.total() != 1:
+        return {}, "masses do not sum to 1"
+    hist = Counter(rho.size for rho in _cores(n, t))
+    total = sum(hist.values())
+    for k in set(hist) | set(pmf.masses):
+        if pmf.masses.get(k, Fraction(0)) != Fraction(hist.get(k, 0), total):
+            return {"k": k}, "mass mismatch"
 
 
 @_check("distribution", "gamma_function")
@@ -582,32 +567,23 @@ def check_moment_trend(max_n: int):
 # hook statistics
 
 
-@_check("hookstats", "residue_identities")
-def check_residue_identities(max_n: int):
+@_sweep("hookstats", "residue_identities", 22, range(2, 7))
+def check_residue_identities(n: int, t: int):
     """Each residue census against its core's census, n <= 22, t = 2..6."""
-    limit = min(max_n, 22)
-    ts = [2, 3, 4, 5, 6]
-    for n in range(limit + 1):
-        cores = [_cores(n, t) for t in ts]
-        for i, shape in enumerate(_shapes(n)):
-            for t, rhos in zip(ts, cores):
-                rho = rhos[i]
-                counts = hookstats.residue_census(shape, t)
-                core_counts = hookstats.residue_census(rho, t)
-                moved = (n - rho.size) // t
-                if counts[0] != moved:
-                    return _fail({"n": n, "t": t}, f"residue-0 count at {shape.parts}")
-                for r in range(1, t):
-                    if 2 * r == t:
-                        if counts[r] != moved + core_counts[r]:
-                            return _fail({"n": n, "t": t, "r": r},
-                                         f"half-class count at {shape.parts}")
-                    elif counts[r] + counts[t - r] != (
-                        2 * moved + core_counts[r] + core_counts[t - r]
-                    ):
-                        return _fail({"n": n, "t": t, "r": r},
-                                     f"pair-class count at {shape.parts}")
-    return {"max_n": limit, "t": ts}
+    for shape, rho in zip(_shapes(n), _cores(n, t)):
+        counts = hookstats.residue_census(shape, t)
+        core_counts = hookstats.residue_census(rho, t)
+        moved = (n - rho.size) // t
+        if counts[0] != moved:
+            return {}, f"residue-0 count at {shape.parts}"
+        for r in range(1, t):
+            if 2 * r == t:
+                if counts[r] != moved + core_counts[r]:
+                    return {"r": r}, f"half-class count at {shape.parts}"
+            elif counts[r] + counts[t - r] != (
+                2 * moved + core_counts[r] + core_counts[t - r]
+            ):
+                return {"r": r}, f"pair-class count at {shape.parts}"
 
 
 @_check("hookstats", "orbit_table")
@@ -667,90 +643,62 @@ def check_orbit_equidistribution(max_n: int):
     return {"max_size": limit, "t": t}
 
 
-@_check("hookstats", "action_properties")
-def check_action_properties(max_n: int):
+@_sweep("hookstats", "action_properties", 14, range(2, 4))
+def check_action_properties(n: int, t: int):
     """The quotient action against runner shifts, n <= 14, t = 2, 3."""
-    limit = min(max_n, 14)
-    ts = [2, 3]
-    for n in range(limit + 1):
-        index = {shape: i for i, shape in enumerate(_shapes(n))}
-        for i, shape in enumerate(_shapes(n)):
-            for t in ts:
-                cores = _cores(n, t)
-                # one division of shape for all t! images, the identity's first
-                sigmas = list(permutations(range(t)))
-                for sigma, image in zip(sigmas, hookstats._images(shape, t, sigmas)):
-                    if sigma == sigmas[0] and image != shape:
-                        return _fail({"n": n, "t": t}, f"identity fails at {shape.parts}")
-                    # an image of size n has an index, and its core is the corpus's
-                    if image not in index or cores[index[image]] != cores[i]:
-                        return _fail({"n": n, "t": t},
-                                     f"size/core not preserved at {shape.parts}")
-                    if image != oracles.act_on_partition_via_shifts(
-                        sigma, shape, t
-                    ):
-                        return _fail({"n": n, "t": t},
-                                     f"shift route disagrees at {shape.parts}")
-    return {"max_n": limit, "t": ts}
+    index, cores = _index(n), _cores(n, t)
+    sigmas = list(permutations(range(t)))
+    for shape, rho in zip(_shapes(n), cores):
+        # one division of shape for all t! images, the identity's first
+        for sigma, image in zip(sigmas, hookstats._images(shape, t, sigmas)):
+            if sigma == sigmas[0] and image != shape:
+                return {}, f"identity fails at {shape.parts}"
+            # an image of size n has an index, and its core is the corpus's
+            if image not in index or cores[index[image]] != rho:
+                return {}, f"size/core not preserved at {shape.parts}"
+            if image != oracles.act_on_partition_via_shifts(sigma, shape, t):
+                return {}, f"shift route disagrees at {shape.parts}"
 
 
-@_check("hookstats", "smoothing_bounds")
-def check_smoothing_bounds(max_n: int):
+@_sweep("hookstats", "smoothing_bounds", 20, range(2, 6))
+def check_smoothing_bounds(n: int, t: int):
     """Canonical smoothings against the spread and small-hook bounds, n <= 20."""
-    limit = min(max_n, 20)
-    ts = [2, 3, 4, 5]
-    for n in range(limit + 1):
-        for i, shape in enumerate(_shapes(n)):
-            for t in ts:
-                # the divisible part, its quotient on balanced runners
-                nu = corequotient._assemble((0,) * t, corequotient._divide(shape, t)[1], t)
-                b, cells = hookstats.canonical_smoothing(shape, t)
-                if b > 2.0 * math.sqrt(_cores(n, t)[i].size) + 1e-12:
-                    return _fail({"n": n, "t": t},
-                                 f"spread bound fails at {shape.parts}")
-                uncovered = nu.size - cells.size
-                small = hookstats.small_hook_count(nu, t * (b + 1))
-                if uncovered > small:
-                    return _fail({"n": n, "t": t},
-                                 f"coverage bound fails at {shape.parts}")
-    return {"max_n": limit, "t": ts}
+    for shape, rho, nu in zip(_shapes(n), _cores(n, t), _divisibles(n, t)):
+        b, cells = hookstats.canonical_smoothing(shape, t)
+        if b > 2.0 * math.sqrt(rho.size) + 1e-12:
+            return {}, f"spread bound fails at {shape.parts}"
+        # equality can occur (the single-column ribbons, for one), so only
+        # the non-strict form of the coverage bound holds
+        if nu.size - cells.size > hookstats.small_hook_count(nu, t * (b + 1)):
+            return {}, f"coverage bound fails at {shape.parts}"
 
 
-@_check("hookstats", "small_hook_bound")
-def check_small_hook_bound(max_n: int):
-    """Hooks below m against the bound m sqrt(2n), n <= 30."""
-    limit = min(max_n, 30)
-    for n in range(1, limit + 1):
-        root = math.sqrt(2.0 * n)
-        for shape, hooks in zip(_shapes(n), _hooks(n)):
-            hooks = sorted(hooks)
-            below = 0
-            for m in range(1, n + 1):
-                while below < len(hooks) and hooks[below] < m:
-                    below += 1
-                if not below < m * root:
-                    return _fail({"n": n, "m": m}, f"bound fails at {shape.parts}")
-    return {"max_n": limit}
+@_sweep("hookstats", "small_hook_bound", 30)
+def check_small_hook_bound(n: int):
+    """Hooks below m against the bound m sqrt(2n), n <= 30, and
+    small_hook_count against the sorted hooks at each shape's largest hook."""
+    root = math.sqrt(2.0 * n)
+    for shape, hooks in zip(_shapes(n), _hooks(n)):
+        hooks = sorted(hooks)
+        for m in range(1, n + 1):
+            if not bisect_left(hooks, m) < m * root:
+                return {"m": m}, f"bound fails at {shape.parts}"
+        # below the largest hook lie the hooks before its first copy, not it
+        top = max(hooks, default=0)
+        if hookstats.small_hook_count(shape, top) != bisect_left(hooks, top):
+            return {"m": top}, f"small_hook_count differs at {shape.parts}"
 
 
-@_check("hookstats", "phi_injection")
-def check_phi_injection(max_n: int):
+@_sweep("hookstats", "phi_injection", 18, range(2, 5))
+def check_phi_injection(n: int, t: int):
     """phi against the diagram hooks at both ends of each cell, n <= 18, t = 2..4."""
-    limit = min(max_n, 18)
-    ts = [2, 3, 4]
-    for n in range(limit + 1):
-        for shape in _shapes(n):
-            for t in ts:
-                nu = corequotient._assemble((0,) * t, corequotient._divide(shape, t)[1], t)
-                mapping = hookstats.phi_map(shape, t)
-                if len(set(mapping.values())) != len(mapping):
-                    return _fail({"n": n, "t": t}, f"not injective at {shape.parts}")
-                for src, dst in mapping.items():
-                    if (hook_length(nu, src) % t
-                            != hook_length(shape, dst) % t):
-                        return _fail({"n": n, "t": t},
-                                     f"residue broken at {shape.parts} {src}")
-    return {"max_n": limit, "t": ts}
+    for shape, nu in zip(_shapes(n), _divisibles(n, t)):
+        mapping = hookstats.phi_map(shape, t)
+        if len(set(mapping.values())) != len(mapping):
+            return {}, f"not injective at {shape.parts}"
+        for src, dst in mapping.items():
+            if hook_length(nu, src) % t != hook_length(shape, dst) % t:
+                return {}, f"residue broken at {shape.parts} {src}"
 
 
 @_check("hookstats", "residue_trend")

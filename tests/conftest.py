@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The exhaustive finite-n sweeps live in `tcores.verify`; the tests run the
-whole suite once per session, at the scale its cases are stated for, and
-read each case from that one report.
+Each exhaustive finite-n identity has one body, a sweep predicate in
+`tcores.verify`. The tests run the whole suite once per session, at the scale
+its cases are stated for, and read each case from that one report; a unit
+sweep runs single points of the same predicate through `verify.point`.
 """
 import pytest
 

@@ -15,11 +15,11 @@ from tcores.abacus import (
     shift,
     split_runners,
 )
+from tcores import verify
 from tcores.corequotient import core
 from tcores.counting import f_t
 from tcores.partitions import (
     EMPTY,
-    enumerate_partitions,
     hook_lengths,
     make_partition,
 )
@@ -84,11 +84,7 @@ def test_inversion_pairs_match_hooks():
 
 @pytest.mark.parametrize("n", range(18))
 def test_pairs_biject_with_cells(n):
-    for shape in enumerate_partitions(n):
-        word = abacus_from_partition(shape)
-        pairs = inversion_pairs(word)
-        assert len(pairs) == n
-        assert sorted(j - i for i, j in pairs) == sorted(hook_lengths(shape))
+    assert verify.point("abacus_pair_statistics", n) is None
 
 
 def test_split_matches_worked_runner_block():
@@ -158,18 +154,4 @@ def test_roundtrip_on_random_partitions(shape):
 
 @pytest.mark.parametrize("n", range(15))
 def test_zeros_ones_between_pair_are_arm_and_leg(n):
-    from tcores.partitions import arm_length, hook_length, leg_length
-
-    for shape in enumerate_partitions(n):
-        word = abacus_from_partition(shape)
-        stats = sorted(
-            (j - i,
-             sum(1 for k in range(i + 1, j) if word.bit(k) == 0),
-             sum(1 for k in range(i + 1, j) if word.bit(k) == 1))
-            for i, j in inversion_pairs(word)
-        )
-        cells = sorted(
-            (hook_length(shape, c), arm_length(shape, c), leg_length(shape, c))
-            for c in shape.cells()
-        )
-        assert stats == cells
+    assert verify.point("abacus_pair_statistics", n) is None

@@ -6,8 +6,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcores import counting, oracles
-from tcores.corequotient import core, is_core
+from tcores import counting, oracles, verify
+from tcores.corequotient import core
 from tcores.partitions import enumerate_partitions
 
 P_100 = 190569292
@@ -46,9 +46,7 @@ def test_partition_table_basics():
 
 
 def test_partition_counts_match_enumeration():
-    table = counting.partition_count_table(18)
-    for n in range(19):
-        assert table[n] == sum(1 for _ in enumerate_partitions(n))
+    assert [verify.point("enumeration_count", n) for n in range(19)] == [None] * 19
 
 
 def test_two_partition_count_routes_agree():
@@ -198,9 +196,8 @@ def test_staircase_characterization_for_pairs():
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_core_table_matches_brute_force(t):
-    table = counting.core_count_table(t, 16)
-    for n in range(17):
-        assert table[n] == sum(1 for s in enumerate_partitions(n) if is_core(s, t))
+    # c_t(n) is the i = n term of the product formula
+    assert [verify.point("fixed_core_counts", n, t) for n in range(17)] == [None] * 17
 
 
 def test_divisible_table_values():
@@ -214,10 +211,8 @@ def test_divisible_table_values():
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_divisible_table_matches_brute_force(t):
-    table = counting.divisible_count_table(t, 12)
-    for n in range(13):
-        brute = sum(1 for s in enumerate_partitions(n) if core(s, t).size == 0)
-        assert table[n] == brute
+    # d_t(n) is the i = 0 term of the product formula
+    assert [verify.point("fixed_core_counts", n, t) for n in range(13)] == [None] * 13
 
 
 def test_core_sum_values():

@@ -1,13 +1,10 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tcores import distribution as dist
-from tcores.corequotient import core
+from tcores import distribution as dist, verify
 from tcores.hookstats import exact_residue_distribution
-from tcores.partitions import enumerate_partitions
 
 SQRT6_OVER_PI = math.sqrt(6.0) / math.pi
 
@@ -46,10 +43,7 @@ def test_pmf_figure_parameters():
 @pytest.mark.parametrize("n", range(15))
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_pmf_matches_enumeration(n, t):
-    hist = Counter(core(s, t).size for s in enumerate_partitions(n))
-    total = sum(hist.values())
-    pmf = dist.core_size_pmf(t, n)
-    assert pmf.masses == {k: Fraction(v, total) for k, v in hist.items()}
+    assert verify.point("pmf_exhaustive", n, t) is None
 
 
 def test_scaled_moment_constant():

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from tcores import hookstats as hs
+from tcores import hookstats as hs, verify
 from tcores.corequotient import core, decompose
 from tcores.counting import SERIES_MAX_N
 from tcores.oracles import (
@@ -213,11 +213,7 @@ def test_action_on_partition_preserves_size_and_core():
 @pytest.mark.parametrize("n", range(11))
 @pytest.mark.parametrize("t", [2, 3])
 def test_action_routes_agree_exhaustively(n, t):
-    for shape in enumerate_partitions(n):
-        for sigma in permutations(range(t)):
-            assert hs.act_on_partition(sigma, shape, t) == (
-                act_on_partition_via_shifts(sigma, shape, t)
-            )
+    assert verify.point("action_properties", n, t) is None
 
 
 def test_orbit_listing():
@@ -299,10 +295,7 @@ def test_canonical_smoothing_divisible_input():
 @pytest.mark.parametrize("n", range(15))
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_canonical_smoothing_bound(n, t):
-    for shape in enumerate_partitions(n):
-        rho = core(shape, t)
-        b, _ = hs.canonical_smoothing(shape, t)
-        assert b <= 2.0 * math.sqrt(rho.size) + 1e-12
+    assert verify.point("smoothing_bounds", n, t) is None
 
 
 def test_phi_worked_example():
@@ -323,24 +316,13 @@ def test_phi_empty_for_cores():
 @pytest.mark.parametrize("n", range(12))
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_phi_injective_residue_preserving(n, t):
-    for shape in enumerate_partitions(n):
-        dc = decompose(shape, t)
-        mapping = hs.phi_map(shape, t)
-        assert len(set(mapping.values())) == len(mapping)
-        for src, dst in mapping.items():
-            assert hook_length(dc.divisible, src) % t == hook_length(shape, dst) % t
+    assert verify.point("phi_injection", n, t) is None
 
 
 @pytest.mark.parametrize("n", range(15))
 @pytest.mark.parametrize("t", [2, 3])
 def test_coverage_bound_weak_form(n, t):
-    # equality can occur (for instance the single-column ribbon shapes), so
-    # only the non-strict form holds in general
-    for shape in enumerate_partitions(n):
-        dc = decompose(shape, t)
-        b, cells = hs.canonical_smoothing(shape, t)
-        uncovered = dc.divisible.size - cells.size
-        assert uncovered <= hs.small_hook_count(dc.divisible, t * (b + 1))
+    assert verify.point("smoothing_bounds", n, t) is None
 
 
 def test_coverage_bound_equality_case():
@@ -355,19 +337,7 @@ def test_coverage_bound_equality_case():
 @pytest.mark.parametrize("n", range(13))
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_residue_identities_exhaustive(n, t):
-    for shape in enumerate_partitions(n):
-        rho = core(shape, t)
-        counts = hs.residue_census(shape, t)
-        core_counts = hs.residue_census(rho, t)
-        moved = (n - rho.size) // t
-        assert counts[0] == moved
-        for r in range(1, t):
-            if 2 * r == t:
-                assert counts[r] == moved + core_counts[r]
-            else:
-                assert counts[r] + counts[t - r] == (
-                    2 * moved + core_counts[r] + core_counts[t - r]
-                )
+    assert verify.point("residue_identities", n, t) is None
 
 
 def test_orbit_equidistribution_hand_check():

@@ -1,10 +1,14 @@
 """The library verification suite: the full-scale report (the shared
 `full_report` fixture) and the suite's error paths."""
 import argparse
+import functools
 
 import pytest
 
-from tcores import abacus, cli, corequotient, counting, sampling, verify
+from tcores import abacus, cli, corequotient, counting, hookstats, sampling, verify
+from tcores.partitions import hook_lengths
+
+CENSUS = hookstats.residue_census
 
 # the params each case reports in the full report, in registration order: the
 # exhaustive finite-n sweeps live only in verify, so these pin their scale,
@@ -114,6 +118,35 @@ def test_small_hook_bound_reports_a_failing_shape(monkeypatch):
     assert case.detail == "bound fails at (1,)"
 
 
+# one slip in a production route each, and the first row its case fails at
+@pytest.mark.parametrize("check, module, route, slip, point, extra, detail", [
+    (verify.check_residue_identities, hookstats, "residue_census",
+     lambda shape, t: CENSUS(shape, t)[::-1], {"n": 1, "t": 2}, {}, "residue-0 count at (1,)"),
+    (verify.check_fixed_core_counts, counting, "divisible_count_table",
+     counting.core_count_table, {"n": 1, "t": 2}, {"i": 0}, "product formula mismatch"),
+    (verify.check_small_hook_bound, hookstats, "small_hook_count",
+     lambda shape, m: sum(h <= m for h in hook_lengths(shape)), {"n": 1}, {"m": 1},
+     "small_hook_count differs at (1,)"),
+], ids=["residue_census", "divisible_count_table", "small_hook_count"])
+def test_a_slip_in_a_production_route_fails_its_case_and_its_point(
+        monkeypatch, check, module, route, slip, point, extra, detail):
+    monkeypatch.setattr(module, route, slip)
+    case = check(5)
+    assert (case.passed, case.params, case.detail) == (False, {**point, **extra}, detail)
+    assert verify.point(case.name, *point.values()) == (extra, detail)
+
+
+def test_point_refuses_an_unknown_case_and_a_point_off_its_scale():
+    with pytest.raises(ValueError, match=r"^unknown sweep case 'triple_oracle'"):
+        verify.point("triple_oracle", 3)
+    with pytest.raises(ValueError, match=r"^n must be at most 14, got 15$"):
+        verify.point("arm_leg_hook", 15)
+    with pytest.raises(ValueError, match=r"^arm_leg_hook has no t list, got t=2$"):
+        verify.point("arm_leg_hook", 3, 2)
+    with pytest.raises(ValueError, match=r"^t must be at most 3, got 4$"):
+        verify.point("action_properties", 3, 4)
+
+
 @pytest.mark.parametrize("samples", [50, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 12345])
 def test_sampler_frequencies_pass_a_uniform_sampler_at_few_samples(samples, seed):
@@ -189,6 +222,8 @@ def test_word_roundtrip_catches_a_shifted_word(monkeypatch):
     build = abacus.abacus_from_partition
     monkeypatch.setattr(abacus, "abacus_from_partition",
                         lambda shape: abacus.shift(build(shape), 1))
+    # words of its own: the shifted ones must not meet or stay in the shared corpus
+    monkeypatch.setattr(verify, "_words", functools.cache(verify._words.__wrapped__))
     case = verify.check_word_roundtrip(8)
     assert not case.passed
     assert case.params == {"n": 1}
