@@ -1,11 +1,14 @@
 """Exact combinatorics of integer partitions and their t-cores.
 
-The library computes with partitions through three interchangeable lenses:
-Young diagrams (hooks, rim hooks), abacus words (runners, justification),
-and counting series (exact big-integer tables).  On top of those sit the
-exact distribution of the t-core size with its gamma-limit comparison,
+Partitions are immutable Young diagrams with their hook lengths; the t-core
+and t-quotient come from one division on bead positions, and the counting
+series are exact big-integer tables.  On top of those sit the exact
+distribution of the t-core size with its gamma-limit comparison,
 hook-length residue statistics under the quotient-permutation action, and
-an exactly uniform partition sampler.
+an exactly uniform partition sampler.  The independent routes that check
+them (the bit-word abacus, rim-hook walks, lattice points and the rest) are
+not exported: they live in `tcores.oracles` and `tcores.abacus`, for
+`tcores.verify` and the tests.
 """
 
 from .partitions import (
@@ -13,19 +16,8 @@ from .partitions import (
     PartitionShape,
     conjugate,
     enumerate_partitions,
-    hook_length,
     hook_lengths,
     make_partition,
-    remove_rim_hook,
-)
-from .abacus import (
-    AbacusWord,
-    TRunner,
-    abacus_from_partition,
-    merge_runners,
-    partition_from_abacus,
-    shift,
-    split_runners,
 )
 from .corequotient import CoreQuotient, compose, core, decompose, is_core, quotient
 from .counting import (
@@ -58,7 +50,6 @@ from .hookstats import (
     sampled_residue_distribution,
     small_hook_count,
 )
-from .oracles import lattice_core_count
 from .sampling import SamplerTable, build_sampler, sample_partition, unrank_partition
 
 __version__ = "0.1.0"

@@ -96,8 +96,7 @@ def gamma_cdf(params: GammaParams, x: float) -> float:
 
 def gamma_moment(params: GammaParams, k: int) -> float:
     """k-th moment Gamma(k + alpha) / (beta^k * Gamma(alpha))."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _require_int(k, "k", 0)
     return math.exp(
         math.lgamma(k + params.alpha) - math.lgamma(params.alpha)
     ) / params.beta**k

@@ -3,8 +3,9 @@
 Production modules keep one algorithm per quantity; the verification suite
 and the tests check each of them against a second route kept here.  These
 routes deliberately avoid the machinery they check: core counts from lattice
-points of the quadratic form f_t and from a divisor sum, cores from rim-hook
-stripping, quotients from cell contents, the quotient action from runner
+points of the quadratic form f_t and from a divisor sum, hook, arm and leg
+lengths scanned cell by cell, rim hooks walked along the diagram's edge,
+cores from rim-hook stripping, quotients from cell contents, the quotient action from runner
 shifts, counting series from dense products of Euler factors and divisor
 sums, sampler rows from the cell-by-cell recurrence with one bisection per
 part, the exact hook-residue law from a census of every partition of n, and
@@ -31,10 +32,8 @@ from .partitions import (
     _require_int,
     _require_t,
     enumerate_partitions,
-    hook_length,
     hook_lengths,
     make_partition,
-    remove_rim_hook,
 )
 from .sampling import _mix64, build_sampler, unrank_partition
 
@@ -170,6 +169,73 @@ def c3_divisor_counts(max_n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the diagram scanned cell by cell
+
+
+def _require_cell(shape: PartitionShape, cell: Cell) -> tuple[int, int]:
+    r, c = cell
+    r = _require_int(r, "cell.row", 1, len(shape.parts))
+    return r, _require_int(c, "cell.col", 1, shape.parts[r - 1])
+
+
+def arm_length(shape: PartitionShape, cell: Cell) -> int:
+    """Number of cells strictly to the right of the cell in its row."""
+    r, c = _require_cell(shape, cell)
+    return shape.parts[r - 1] - c
+
+
+def leg_length(shape: PartitionShape, cell: Cell) -> int:
+    """Number of cells strictly below the cell in its column."""
+    r, c = _require_cell(shape, cell)
+    col_len = sum(1 for width in shape.parts if width >= c)
+    return col_len - r
+
+
+def hook_length(shape: PartitionShape, cell: Cell) -> int:
+    r, c = _require_cell(shape, cell)
+    col_len = sum(1 for width in shape.parts if width >= c)
+    return shape.parts[r - 1] - c + col_len - r + 1
+
+
+def rim_hook_cells(shape: PartitionShape, cell: Cell) -> list[Cell]:
+    """Walk the rim from the arm node of the cell to its leg node.
+
+    From each rim cell the walk steps down when the cell below is in the
+    diagram, otherwise left; it ends at the leg node.  The number of visited
+    cells equals the hook length.
+    """
+    r, c = _require_cell(shape, cell)
+    parts = shape.parts
+    cur_r, cur_c = r, parts[r - 1]
+    visited = [Cell(cur_r, cur_c)]
+    while True:
+        # the cell below is in row cur_r + 1, which holds parts[cur_r] cells
+        if cur_r < len(parts) and parts[cur_r] >= cur_c:
+            cur_r += 1
+        elif cur_c > c:
+            cur_c -= 1
+        else:
+            break
+        visited.append(Cell(cur_r, cur_c))
+    return visited
+
+
+def remove_rim_hook(shape: PartitionShape, cell: Cell) -> PartitionShape:
+    """Delete the rim hook (ribbon) of the cell; result is a valid shape."""
+    ribbon = rim_hook_cells(shape, cell)
+    leftmost: dict[int, int] = {}
+    for r, c in ribbon:
+        if r not in leftmost or c < leftmost[r]:
+            leftmost[r] = c
+    new_parts = []
+    for r, width in enumerate(shape.parts, start=1):
+        w = leftmost[r] - 1 if r in leftmost else width
+        if w > 0:
+            new_parts.append(w)
+    return make_partition(new_parts)
+
+
+# ---------------------------------------------------------------------------
 # cores, quotients and the action without the core/quotient division
 
 
@@ -193,6 +259,7 @@ def core_by_rim_stripping(shape: PartitionShape, t: int) -> PartitionShape:
 
 def all_stripping_results(shape: PartitionShape, t: int) -> set[PartitionShape]:
     """Terminal partitions over every order of removals of size-t rim hooks."""
+    t = _require_t(t)
 
     @lru_cache(maxsize=None)
     def explore(parts: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
@@ -208,6 +275,7 @@ def all_stripping_results(shape: PartitionShape, t: int) -> set[PartitionShape]:
 def quotient_by_contents(shape: PartitionShape, t: int) -> tuple[PartitionShape, ...]:
     """Quotient component k collects the cells with t-divisible hooks whose
     arm node has content congruent to k mod t, row by row."""
+    t = _require_t(t)
     rows_per_class: list[list[int]] = [[] for _ in range(t)]
     for r, width in enumerate(shape.parts, start=1):
         klass = (width - r) % t
@@ -252,6 +320,7 @@ def act_on_partition_via_shifts(
 
 def partition_counts_by_products(max_n: int) -> tuple[int, ...]:
     """p(0..max_n) from the product of the factors 1/(1 - x^k)."""
+    max_n = _require_int(max_n, "max_n", 0)
     a = [0] * (max_n + 1)
     a[0] = 1
     for k in range(1, max_n + 1):
@@ -263,6 +332,8 @@ def partition_counts_by_products(max_n: int) -> tuple[int, ...]:
 def core_counts_by_products(t: int, max_n: int) -> tuple[int, ...]:
     """c_t(0..max_n) from the product of (1-x^{tk})^t / (1-x^k), factor by
     factor, interleaved per k to keep the intermediate coefficients small."""
+    t = _require_t(t)
+    max_n = _require_int(max_n, "max_n", 0)
     a = [0] * (max_n + 1)
     a[0] = 1
     for k in range(1, max_n + 1):
@@ -278,20 +349,22 @@ def core_counts_by_products(t: int, max_n: int) -> tuple[int, ...]:
 
 def divisible_counts_by_products(t: int, max_n: int) -> tuple[int, ...]:
     """d_t(0..max_n) from the product of 1/(1-x^{tk})^t, factor by factor."""
+    t = _require_t(t)
+    max_n = _require_int(max_n, "max_n", 0)
     a = [0] * (max_n + 1)
     a[0] = 1
-    k = 1
-    while t * k <= max_n:
+    for k in range(1, max_n // t + 1):
         m = t * k
         for _ in range(t):
             for n in range(m, max_n + 1):
                 a[n] += a[n - m]
-        k += 1
     return tuple(a)
 
 
 def core_sums_by_products(t: int, max_n: int) -> tuple[int, ...]:
     """C_t(0..max_n) as sum_i c_t(n - i t) over the dense c_t oracle."""
+    t = _require_t(t)
+    max_n = _require_int(max_n, "max_n", 0)
     c = core_counts_by_products(t, max_n)
     return tuple(sum(c[n - i * t] for i in range(n // t + 1)) for n in range(max_n + 1))
 
@@ -299,6 +372,8 @@ def core_sums_by_products(t: int, max_n: int) -> tuple[int, ...]:
 def sigma_sums_by_divisors(t: int, max_n: int) -> tuple[int, ...]:
     """S_t(0..max_n) = sum_{j>=1} sigma(j) p(n - tj), with sigma(j) from a
     divisor sieve and p from the dense product."""
+    t = _require_t(t)
+    max_n = _require_int(max_n, "max_n", 0)
     p = partition_counts_by_products(max_n)
     sigma = [0] * (max_n // t + 1)
     for d in range(1, len(sigma)):
@@ -315,6 +390,7 @@ def sigma_sums_by_divisors(t: int, max_n: int) -> tuple[int, ...]:
 def sampler_rows_dense(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n of count(m, k), partitions of m with parts <= k, k <= m,
     filled cell by cell from count(m, k) = count(m, k-1) + count(m-k, k)."""
+    n = _require_int(n, "n", 0)
     rows: list[tuple[int, ...]] = [(1,)]
     for m in range(1, n + 1):
         row = [0]
@@ -329,6 +405,8 @@ def sampler_rows_dense(n: int) -> tuple[tuple[int, ...], ...]:
 def unrank_by_bisection(rows: Sequence[Sequence[int]], n: int, rank: int) -> tuple[int, ...]:
     """Parts of the partition of n at a rank: each next part j is the least
     value whose count of partitions with parts <= j exceeds the rank."""
+    n = _require_int(n, "n", 0, len(rows) - 1)
+    rank = _require_int(rank, "rank", 0, rows[n][-1] - 1)
     m = cap = n
     parts = []
     while m > 0:
@@ -346,6 +424,10 @@ def sampled_residues_per_index(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The Monte Carlo hook-residue law with a fresh Random(_mix64(seed, i))
     for draw i, and the drawn cell's hook length from a raw scan."""
+    t = _require_t(t)
+    n = _require_int(n, "n", 1)
+    samples = _require_int(samples, "samples", 1)
+    seed = _require_int(seed, "seed")
     table = build_sampler(n)
     counts = [0] * t
     for index in range(samples):
@@ -361,6 +443,8 @@ def sampled_residues_per_index(
 def residue_law_by_enumeration(t: int, n: int) -> tuple[Fraction, ...]:
     """P(hook length = i mod t) for a uniform cell of a uniform partition of
     n, from the hook lengths of every partition of n."""
+    t = _require_t(t)
+    n = _require_int(n, "n", 1)
     totals = [0] * t
     count = 0
     for shape in enumerate_partitions(n):

@@ -27,10 +27,6 @@ class PartitionShape:
     def size(self) -> int:
         return sum(self.parts)
 
-    def contains(self, cell: Cell) -> bool:
-        r, c = cell
-        return 1 <= r <= len(self.parts) and 1 <= c <= self.parts[r - 1]
-
     def cells(self) -> Iterator[Cell]:
         for r, width in enumerate(self.parts, start=1):
             for c in range(1, width + 1):
@@ -107,31 +103,6 @@ def _require_t(t: int) -> int:
     return _require_int(t, "t", 2, MAX_T)
 
 
-def _require_cell(shape: PartitionShape, cell: Cell) -> tuple[int, int]:
-    r, c = cell
-    r = _require_int(r, "cell.row", 1, len(shape.parts))
-    return r, _require_int(c, "cell.col", 1, shape.parts[r - 1])
-
-
-def arm_length(shape: PartitionShape, cell: Cell) -> int:
-    """Number of cells strictly to the right of the cell in its row."""
-    r, c = _require_cell(shape, cell)
-    return shape.parts[r - 1] - c
-
-
-def leg_length(shape: PartitionShape, cell: Cell) -> int:
-    """Number of cells strictly below the cell in its column."""
-    r, c = _require_cell(shape, cell)
-    col_len = sum(1 for width in shape.parts if width >= c)
-    return col_len - r
-
-
-def hook_length(shape: PartitionShape, cell: Cell) -> int:
-    r, c = _require_cell(shape, cell)
-    col_len = sum(1 for width in shape.parts if width >= c)
-    return shape.parts[r - 1] - c + col_len - r + 1
-
-
 def hook_lengths(shape: PartitionShape) -> tuple[int, ...]:
     """All hook lengths in row-major order."""
     parts = shape.parts
@@ -142,42 +113,6 @@ def hook_lengths(shape: PartitionShape) -> tuple[int, ...]:
         for c in range(1, width + 1):
             out.append(base - c + conj[c - 1])
     return tuple(out)
-
-
-def rim_hook_cells(shape: PartitionShape, cell: Cell) -> list[Cell]:
-    """Walk the rim from the arm node of the cell to its leg node.
-
-    From each rim cell the walk steps down when the cell below is in the
-    diagram, otherwise left; it ends at the leg node.  The number of visited
-    cells equals the hook length.
-    """
-    r, c = _require_cell(shape, cell)
-    cur_r, cur_c = r, shape.parts[r - 1]
-    visited = [Cell(cur_r, cur_c)]
-    while True:
-        if shape.contains(Cell(cur_r + 1, cur_c)):
-            cur_r += 1
-        elif cur_c > c:
-            cur_c -= 1
-        else:
-            break
-        visited.append(Cell(cur_r, cur_c))
-    return visited
-
-
-def remove_rim_hook(shape: PartitionShape, cell: Cell) -> PartitionShape:
-    """Delete the rim hook (ribbon) of the cell; result is a valid shape."""
-    ribbon = rim_hook_cells(shape, cell)
-    leftmost: dict[int, int] = {}
-    for r, c in ribbon:
-        if r not in leftmost or c < leftmost[r]:
-            leftmost[r] = c
-    new_parts = []
-    for r, width in enumerate(shape.parts, start=1):
-        w = leftmost[r] - 1 if r in leftmost else width
-        if w > 0:
-            new_parts.append(w)
-    return make_partition(new_parts)
 
 
 def enumerate_partitions(n: int) -> Iterator[PartitionShape]:

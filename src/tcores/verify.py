@@ -22,19 +22,16 @@ from itertools import accumulate, permutations
 
 from . import abacus, corequotient, counting, distribution, hookstats, oracles, sampling
 from .corequotient import _beads, compose, core, decompose, is_core, justification_vector
+from .oracles import arm_length, hook_length, leg_length, remove_rim_hook
 from .partitions import (
     EMPTY,
     Cell,
     PartitionShape,
     conjugate,
     enumerate_partitions,
-    hook_length,
-    arm_length,
-    leg_length,
     hook_lengths,
     _require_int,
     make_partition,
-    remove_rim_hook,
 )
 
 SCHEMA_VERSION = 1
@@ -150,7 +147,7 @@ def point(name: str, n: int, t: int | None = None):
 # Many cases sweep the same partitions, their words, t-cores and divisible
 # parts.  Each is built once per process, so no point rebuilds what another
 # point or case already has; the case caps bound it all to n <= 30 and t <= 6
-# (about 18 MB, 3 MB of it the words and divisible parts).
+# (about 18 MB; the words take 2.5 MB and the divisible parts 0.9 MB).
 
 
 @functools.cache
@@ -173,23 +170,53 @@ def _words(n: int) -> tuple[abacus.AbacusWord, ...]:
     return tuple(abacus.abacus_from_partition(shape) for shape in _shapes(n))
 
 
-@functools.cache
-def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
+def _intern_cores(vectors: list[tuple[int, ...]], t: int) -> tuple[PartitionShape, ...]:
     # a t-core is fixed by its justification vector (James and Kerber 2.7):
-    # each shape is divided once, each distinct vector assembled once, and
-    # the cores are interned by it, so each distinct core is held once
-    vectors = [corequotient._divide(shape, t)[0] for shape in _shapes(n)]
+    # each distinct vector is assembled once and the cores are interned by
+    # it, so each distinct core is held once
     interned = {v: corequotient._assemble(v, (EMPTY,) * t, t) for v in set(vectors)}
     return tuple(interned[v] for v in vectors)
 
 
+# At the points where a case reads divisible parts (smoothing_bounds and
+# phi_injection: n <= 20, t <= 5), _cores also finds each shape's divisible
+# part in the one division it makes.  A shape with an empty t-core is its
+# own divisible part, and that of every shape with its quotient (James and
+# Kerber 2.7), so each part is looked up by quotient among the shapes of
+# its size, never assembled, and no other shape's quotient is kept.
+_balanced: dict[tuple[int, int], dict] = {}
+_divisible_parts: dict[tuple[int, int], tuple[PartitionShape, ...]] = {}
+
+
+def _by_quotient(shapes, divided) -> dict[tuple[PartitionShape, ...], PartitionShape]:
+    return {q: shape for shape, (v, q) in zip(shapes, divided) if not any(v)}
+
+
+def _balanced_shapes(m: int, t: int) -> dict[tuple[PartitionShape, ...], PartitionShape]:
+    # _cores(m, t) fills this when it runs first, as in a sweep up from n = 0
+    if (m, t) not in _balanced:
+        divided = [corequotient._divide(shape, t) for shape in _shapes(m)]
+        _balanced[m, t] = _by_quotient(_shapes(m), divided)
+    return _balanced[m, t]
+
+
 @functools.cache
+def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
+    # each shape is divided once; past the shared points its quotient is
+    # dropped at once, so only the vectors are held
+    if n > 20 or t > 5:
+        return _intern_cores([corequotient._divide(shape, t)[0] for shape in _shapes(n)], t)
+    divided = [corequotient._divide(shape, t) for shape in _shapes(n)]
+    cores = _intern_cores([v for v, _ in divided], t)
+    _balanced[n, t] = _by_quotient(_shapes(n), divided)
+    _divisible_parts[n, t] = tuple(_balanced_shapes(n - rho.size, t)[q]
+                                   for rho, (_, q) in zip(cores, divided))
+    return cores
+
+
 def _divisibles(n: int, t: int) -> tuple[PartitionShape, ...]:
-    # the divisible part is its quotient assembled on balanced runners: each
-    # shape is divided once and each distinct quotient assembled once
-    quotients = [corequotient._divide(shape, t)[1] for shape in _shapes(n)]
-    interned = {q: corequotient._assemble((0,) * t, q, t) for q in set(quotients)}
-    return tuple(interned[q] for q in quotients)
+    _cores(n, t)
+    return _divisible_parts[n, t]
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ from tcores.counting import core_count_table
 from tcores.oracles import (
     all_stripping_results,
     core_by_rim_stripping,
+    hook_length,
     quotient_by_contents,
 )
 from tcores.partitions import (
     EMPTY,
     Cell,
     enumerate_partitions,
-    hook_length,
     make_partition,
 )
 
@@ -94,6 +94,7 @@ def test_compose_takes_a_list_quotient():
 
 
 SAMPLER = sampling.build_sampler(10)
+DENSE_ROWS = oracles.sampler_rows_dense(10)
 
 # every integer argument of the public entry points: its name in a refusal,
 # the least value it takes (None for no floor) and a call passing it a value
@@ -152,6 +153,35 @@ INTEGER_ARGUMENTS = {
     "mod_solution_count": ("n_mod", None, lambda n_mod: oracles.mod_solution_count(3, n_mod)),
     "ball_volume": ("n", 0, lambda n: oracles.ball_volume(3, n)),
     "c3_divisor_counts": ("max_n", 0, oracles.c3_divisor_counts),
+    "quotient_by_contents": ("t", 2, lambda t: oracles.quotient_by_contents(RUNNING, t)),
+    "all_stripping_results": ("t", 2, lambda t: oracles.all_stripping_results(RUNNING, t)),
+    "partition_counts_by_products": ("max_n", 0, oracles.partition_counts_by_products),
+    "core_counts_by_products": ("t", 2, lambda t: oracles.core_counts_by_products(t, 5)),
+    "core_counts_by_products_max_n": (
+        "max_n", 0, lambda n: oracles.core_counts_by_products(3, n)),
+    "divisible_counts_by_products": ("t", 2, lambda t: oracles.divisible_counts_by_products(t, 5)),
+    "divisible_counts_by_products_max_n": (
+        "max_n", 0, lambda n: oracles.divisible_counts_by_products(3, n)),
+    "core_sums_by_products": ("t", 2, lambda t: oracles.core_sums_by_products(t, 5)),
+    "core_sums_by_products_max_n": ("max_n", 0, lambda n: oracles.core_sums_by_products(3, n)),
+    "sigma_sums_by_divisors": ("t", 2, lambda t: oracles.sigma_sums_by_divisors(t, 5)),
+    "sigma_sums_by_divisors_max_n": ("max_n", 0, lambda n: oracles.sigma_sums_by_divisors(3, n)),
+    "sampler_rows_dense": ("n", 0, oracles.sampler_rows_dense),
+    "unrank_by_bisection_n": ("n", 0, lambda n: oracles.unrank_by_bisection(DENSE_ROWS, n, 0)),
+    "unrank_by_bisection_rank": (
+        "rank", 0, lambda rank: oracles.unrank_by_bisection(DENSE_ROWS, 5, rank)),
+    "sampled_residues_per_index": (
+        "t", 2, lambda t: oracles.sampled_residues_per_index(t, 5, 5, 0)),
+    "sampled_residues_per_index_n": (
+        "n", 1, lambda n: oracles.sampled_residues_per_index(3, n, 5, 0)),
+    "sampled_residues_per_index_samples": (
+        "samples", 1, lambda samples: oracles.sampled_residues_per_index(3, 5, samples, 0)),
+    "sampled_residues_per_index_seed": (
+        "seed", None, lambda seed: oracles.sampled_residues_per_index(3, 5, 5, seed)),
+    "residue_law_by_enumeration": ("t", 2, lambda t: oracles.residue_law_by_enumeration(t, 5)),
+    "residue_law_by_enumeration_n": (
+        "n", 1, lambda n: oracles.residue_law_by_enumeration(3, n)),
+    "gamma_moment": ("k", 0, lambda k: distribution.gamma_moment(distribution.gamma_params(3), k)),
     "run_suite_max_n": ("max_n", 0, lambda n: verify.run_suite("partitions", max_n=n)),
     "run_suite_samples": (
         "samples", 1, lambda samples: verify.run_suite("partitions", max_n=3, samples=samples)),
@@ -204,9 +234,18 @@ def test_a_bad_integer_argument_is_refused_naming_it(name, value):
     (lambda: distribution.core_size_pmf(3, 2.5), "n must be an integer, got 2.5"),
     (lambda: sampling.build_sampler(2.0), "n must be an integer, got 2.0"),
     (lambda: hook_length(RUNNING, Cell(1.0, 1)), "cell.row must be an integer, got 1.0"),
+    (lambda: oracles.divisible_counts_by_products(0, 5), "t must be at least 2, got 0"),
+    (lambda: oracles.core_counts_by_products(0, 5), "t must be at least 2, got 0"),
+    (lambda: oracles.partition_counts_by_products(-2), "max_n must be at least 0, got -2"),
+    (lambda: distribution.gamma_moment(distribution.gamma_params(3), 1.5),
+     "k must be an integer, got 1.5"),
+    (lambda: distribution.gamma_moment(distribution.gamma_params(3), "2"),
+     "k must be an integer, got '2'"),
 ], ids=["b_smoothing", "hook_at", "enumerate_partitions", "core_sum_leading_term", "shift",
         "asymptotic_estimates", "f_t", "index_draws", "act_on_partition", "core_size_pmf",
-        "build_sampler", "hook_length"])
+        "build_sampler", "hook_length", "divisible_counts_by_products",
+        "core_counts_by_products", "partition_counts_by_products", "gamma_moment_float",
+        "gamma_moment_str"])
 def test_a_call_once_let_through_is_refused_naming_its_argument(call, refusal):
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         call()

@@ -11,6 +11,7 @@ from tcores.corequotient import core, decompose
 from tcores.counting import SERIES_MAX_N
 from tcores.oracles import (
     act_on_partition_via_shifts,
+    hook_length,
     residue_law_by_enumeration,
     sampled_residues_per_index,
 )
@@ -18,7 +19,6 @@ from tcores.partitions import (
     EMPTY,
     Cell,
     enumerate_partitions,
-    hook_length,
     make_partition,
 )
 

@@ -3,18 +3,20 @@ from hypothesis import given
 
 from partition_strategies import partitions
 from tcores import verify
+from tcores.oracles import (
+    arm_length,
+    hook_length,
+    leg_length,
+    remove_rim_hook,
+    rim_hook_cells,
+)
 from tcores.partitions import (
     EMPTY,
     Cell,
-    arm_length,
     conjugate,
     enumerate_partitions,
-    hook_length,
     hook_lengths,
-    leg_length,
     make_partition,
-    remove_rim_hook,
-    rim_hook_cells,
 )
 
 RUNNING = make_partition([5, 4, 4, 2, 1])

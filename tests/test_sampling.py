@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from tcores import sampling as sp
 from tcores.counting import partition_count_table
-from tcores.oracles import sampler_rows_dense, unrank_by_bisection
-from tcores.partitions import EMPTY, enumerate_partitions, hook_length, make_partition
+from tcores.oracles import hook_length, sampler_rows_dense, unrank_by_bisection
+from tcores.partitions import EMPTY, enumerate_partitions, make_partition
 
 ORACLE_N = 600
 
