@@ -257,14 +257,14 @@ def _cmd_orbit(args, out) -> int:
     # the action moves bead pairs between runners without changing their
     # column spread, so each b-smoothing (b >= 0) is the same on the whole
     # orbit: take it once, from nu, checked t-divisible before any output
-    hookstats._require_divisible(nu, args.t)
+    divided = hookstats._require_divisible(nu, args.t)
     smoothings = [_render_parts(hookstats._smoothing_cells(nu, args.t, b).parts)
                   for b in range(max_b + 1)]
     columns = ["sigma", "sigma_nu", *(f"C^{b}" for b in range(max_b + 1))]
     words = ["".join(map(str, w)) for w in itertools.permutations(range(1, args.t + 1))]
-    # every row's image comes from one division of nu, one image at a time
+    # every row's image comes from the division that checked nu, one at a time
     images = hookstats._images(
-        nu, args.t, map(hookstats.permutation_from_word, words), divisible=True)
+        divided, args.t, map(hookstats.permutation_from_word, words))
     rows = ([word, _render_parts(image.parts), *smoothings]
             for word, image in zip(words, images))
     _emit(out, args, columns, rows)

@@ -108,15 +108,16 @@ def act_on_divisible(
     """
     t = _require_t(t)
     sigma = _require_permutation(sigma, t)
-    return next(_images(nu, t, [sigma], divisible=True))
+    return next(_images(_require_divisible(nu, t), t, [sigma]))
 
 
 def _images(
-    shape: PartitionShape, t: int, sigmas: Iterable[tuple[int, ...]], divisible: bool = False
+    divided: tuple[tuple[int, ...], tuple[PartitionShape, ...]], t: int,
+    sigmas: Iterable[tuple[int, ...]],
 ) -> Iterator[PartitionShape]:
-    # shape is divided once for every sigma, on the first image asked for;
-    # its positions, all 0 when it is t-divisible, keep its core in each image
-    positions, q = (_require_divisible if divisible else _divide)(shape, t)
+    # the caller's one division of a shape serves every sigma; its positions,
+    # all 0 when the shape is t-divisible, keep its core in each image
+    positions, q = divided
     for sigma in sigmas:
         yield _assemble(positions, tuple(q[s] for s in sigma), t)
 
@@ -131,7 +132,7 @@ def act_on_partition(
     """
     t = _require_t(t)
     sigma = _require_permutation(sigma, t)
-    return next(_images(shape, t, [sigma]))
+    return next(_images(_divide(shape, t), t, [sigma]))
 
 
 def permutation_from_word(word: str) -> tuple[int, ...]:
@@ -155,7 +156,7 @@ def permutation_from_word(word: str) -> tuple[int, ...]:
 def s_t_orbit(nu: PartitionShape, t: int) -> list[PartitionShape]:
     """Orbit of a t-divisible partition under all quotient permutations,
     sorted descending by parts for stable output."""
-    orbit = set(_images(nu, t, permutations(range(t)), divisible=True))
+    orbit = set(_images(_require_divisible(nu, t), t, permutations(range(t))))
     return sorted(orbit, key=lambda s: s.parts, reverse=True)
 
 

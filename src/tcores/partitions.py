@@ -70,10 +70,14 @@ def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
     """Column lengths of the diagram (conjugate as a raw tuple)."""
     if not parts:
         return ()
-    out = [0] * parts[0]
-    for width in parts:
-        for j in range(width):
-            out[j] += 1
+    # column c holds the rows at least c wide, so as c rises the row pointer
+    # only moves up, past the rows narrower than c
+    rows = len(parts)
+    out = []
+    for c in range(1, parts[0] + 1):
+        while parts[rows - 1] < c:
+            rows -= 1
+        out.append(rows)
     return tuple(out)
 
 
@@ -122,26 +126,20 @@ def enumerate_partitions(n: int) -> Iterator[PartitionShape]:
     can be compared across runs.
     """
     n = _require_int(n, "n", 0)
-    if n == 0:
-        yield EMPTY
-        return
-    parts = (n,)
-    yield PartitionShape(parts)
+    parts = [n] if n else []
     while True:
-        # rightmost part greater than 1
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
+        yield PartitionShape(tuple(parts))
+        # pop the trailing 1s, lower the last part above 1 to m and refill
+        # the freed cells with parts of m, the remainder last
+        freed = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            freed += 1
+        if not parts:
             return
-        remainder = len(parts) - i
-        head = parts[:i] + (parts[i] - 1,)
-        # split the remainder into parts capped by the decremented value
-        cap = head[-1]
-        tail = []
-        while remainder > 0:
-            take = min(cap, remainder)
-            tail.append(take)
-            remainder -= take
-        parts = head + tuple(tail)
-        yield PartitionShape(parts)
+        m = parts[-1] - 1
+        parts[-1] = m
+        count, rest = divmod(freed + 1, m)
+        parts += [m] * count
+        if rest:
+            parts.append(rest)

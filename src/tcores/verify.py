@@ -1,9 +1,15 @@
 """Desk-scale verification suite: brute-force checks of every finite-n
 identity the library relies on, runnable from the CLI.
 
-Each case compares a production code path against an independent route
-(exhaustive enumeration, a second formula, or a closed form) and reports a
-CaseResult; a suite passes only if every case does.  An exhaustive sweep is
+Each case checks one identity, bound or trend at a stated scale and reports
+a CaseResult; a suite passes only if every case does.  Most cases judge a
+production code path against an independent route (exhaustive enumeration,
+a route in `oracles`, a second formula, a closed form or a hand-computed
+table), an identity it must satisfy, or a bound.  A few check the second
+routes themselves: the bit-word abacus against bead positions and the rim
+walk, the residue counts of f_t against t^(t-2), the lattice covolume
+against sqrt(t).  The trend cases check that exact laws move toward their
+gamma limits.  An exhaustive sweep is
 one private predicate that judges a single n (and t) under its stated cap and
 t list; one runner sweeps it up to min(max_n, cap), and `point` runs a single
 point of it, so a unit test checks the identity through the same body.
@@ -178,12 +184,14 @@ def _intern_cores(vectors: list[tuple[int, ...]], t: int) -> tuple[PartitionShap
     return tuple(interned[v] for v in vectors)
 
 
-# At the points where a case reads divisible parts (smoothing_bounds and
-# phi_injection: n <= 20, t <= 5), _cores also finds each shape's divisible
-# part in the one division it makes.  A shape with an empty t-core is its
-# own divisible part, and that of every shape with its quotient (James and
-# Kerber 2.7), so each part is looked up by quotient among the shapes of
-# its size, never assembled, and no other shape's quotient is kept.
+# The points where a case reads divisible parts: smoothing_bounds sweeps
+# them all, phi_injection those with n <= 18 and t <= 4.  There _cores
+# also finds each shape's divisible part in the one division it makes.  A
+# shape with an empty t-core is its own divisible part, and that of every
+# shape with its quotient (James and Kerber 2.7), so each part is looked up
+# by quotient among the shapes of its size, never assembled, and no other
+# shape's quotient is kept.
+_DIVISIBLE_CAP, _DIVISIBLE_TS = 20, range(2, 6)
 _balanced: dict[tuple[int, int], dict] = {}
 _divisible_parts: dict[tuple[int, int], tuple[PartitionShape, ...]] = {}
 
@@ -204,7 +212,7 @@ def _balanced_shapes(m: int, t: int) -> dict[tuple[PartitionShape, ...], Partiti
 def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
     # each shape is divided once; past the shared points its quotient is
     # dropped at once, so only the vectors are held
-    if n > 20 or t > 5:
+    if n > _DIVISIBLE_CAP or t not in _DIVISIBLE_TS:
         return _intern_cores([corequotient._divide(shape, t)[0] for shape in _shapes(n)], t)
     divided = [corequotient._divide(shape, t) for shape in _shapes(n)]
     cores = _intern_cores([v for v, _ in divided], t)
@@ -234,20 +242,19 @@ def check_hook_multisets(n: int):
 
 @_sweep("partitions", "arm_leg_hook", 14)
 def check_arm_leg_hook(n: int):
-    """arm + leg + 1 against hook_length cell by cell, n <= 14."""
-    for shape in _shapes(n):
-        for cell in shape.cells():
-            if (arm_length(shape, cell) + leg_length(shape, cell) + 1
-                    != hook_length(shape, cell)):
+    """The arm and leg scans plus 1 against hook_lengths cell by cell, n <= 14."""
+    for shape, hooks in zip(_shapes(n), _hooks(n)):
+        for cell, hook in zip(shape.cells(), hooks):
+            if arm_length(shape, cell) + leg_length(shape, cell) + 1 != hook:
                 return {}, f"failed at {shape.parts} {cell}"
 
 
 @_sweep("partitions", "rim_hook_removal", 14)
 def check_rim_hook_removal(n: int):
-    """Sizes after the rim walk against n minus the hook, n <= 14."""
-    for shape in _shapes(n):
-        for cell in shape.cells():
-            if remove_rim_hook(shape, cell).size != n - hook_length(shape, cell):
+    """Sizes after the rim walk against n minus hook_lengths' hook, n <= 14."""
+    for shape, hooks in zip(_shapes(n), _hooks(n)):
+        for cell, hook in zip(shape.cells(), hooks):
+            if remove_rim_hook(shape, cell).size != n - hook:
                 return {}, f"bad size at {shape.parts} {cell}"
 
 
@@ -264,8 +271,8 @@ def check_enumeration_count(n: int):
 
 @_sweep("abacus", "abacus_pair_statistics", 25)
 def check_pair_statistics(n: int):
-    """Bit-word pair spans and bit counts against hooks, arms and legs, n <= 25."""
-    for shape, word in zip(_shapes(n), _words(n)):
+    """Bit-word pair spans and bit counts against hook_lengths and arms, n <= 25."""
+    for shape, word, hooks in zip(_shapes(n), _words(n), _hooks(n)):
         pairs = abacus.inversion_pairs(word)
         if len(pairs) != n:
             return {}, f"pair count at {shape.parts}"
@@ -273,10 +280,9 @@ def check_pair_statistics(n: int):
         ones = list(accumulate(word.window, initial=0))
         legs = [ones[j - word.offset] - ones[i - word.offset] for i, j in pairs]
         stats = sorted((j - i, j - i - 1 - leg, leg) for (i, j), leg in zip(pairs, legs))
-        cells = sorted(
-            (hook_length(shape, c), arm_length(shape, c), leg_length(shape, c))
-            for c in shape.cells()
-        )
+        # row-major like the hooks, the arm of (r, c) is width - c
+        arms = [width - c for width in shape.parts for c in range(1, width + 1)]
+        cells = sorted((h, arm, h - 1 - arm) for h, arm in zip(hooks, arms))
         if stats != cells:
             return {}, f"hook/arm/leg mismatch at {shape.parts}"
 
@@ -677,7 +683,8 @@ def check_action_properties(n: int, t: int):
     sigmas = list(permutations(range(t)))
     for shape, rho in zip(_shapes(n), cores):
         # one division of shape for all t! images, the identity's first
-        for sigma, image in zip(sigmas, hookstats._images(shape, t, sigmas)):
+        divided = corequotient._divide(shape, t)
+        for sigma, image in zip(sigmas, hookstats._images(divided, t, sigmas)):
             if sigma == sigmas[0] and image != shape:
                 return {}, f"identity fails at {shape.parts}"
             # an image of size n has an index, and its core is the corpus's
@@ -687,7 +694,7 @@ def check_action_properties(n: int, t: int):
                 return {}, f"shift route disagrees at {shape.parts}"
 
 
-@_sweep("hookstats", "smoothing_bounds", 20, range(2, 6))
+@_sweep("hookstats", "smoothing_bounds", _DIVISIBLE_CAP, _DIVISIBLE_TS)
 def check_smoothing_bounds(n: int, t: int):
     """Canonical smoothings against the spread and small-hook bounds, n <= 20."""
     for shape, rho, nu in zip(_shapes(n), _cores(n, t), _divisibles(n, t)):

@@ -241,14 +241,14 @@ def test_orbit_takes_max_b_up_to_the_cap(capsys):
 
 @pytest.mark.parametrize("max_b", [0, 1, 5])
 def test_orbit_divides_nu_once_per_request(capsys, monkeypatch, max_b):
-    # once to check nu and once for all 24 rows at t = 4, whatever --max-b is
+    # once, to check nu and for all 24 rows at t = 4, whatever --max-b is
     divide, calls = hookstats._divide, []
     monkeypatch.setattr(hookstats, "_divide",
                         lambda shape, t: calls.append(shape) or divide(shape, t))
     code, out = run_capture(capsys, "orbit", "--t", "4", "--nu", "6,5,3,2",
                             "--max-b", str(max_b))
     assert code == 0 and len(out.splitlines()) == 25
-    assert 0 < len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_sample_deterministic_bytes(tmp_path):

@@ -14,6 +14,7 @@ from tcores.partitions import (
     EMPTY,
     Cell,
     conjugate,
+    conjugate_parts,
     enumerate_partitions,
     hook_lengths,
     make_partition,
@@ -55,6 +56,14 @@ def test_conjugate_edge_cases():
     assert conjugate(make_partition([6])).parts == (1,) * 6
 
 
+@pytest.mark.parametrize("n", range(21))
+def test_conjugate_parts_count_the_rows_reaching_each_column(n):
+    for shape in enumerate_partitions(n):
+        parts = shape.parts
+        columns = range(1, parts[0] + 1) if parts else ()
+        assert conjugate_parts(parts) == tuple(sum(1 for w in parts if w >= c) for c in columns)
+
+
 @given(partitions(max_n=40))
 def test_conjugate_involution(shape):
     flipped = conjugate(shape)
@@ -84,11 +93,8 @@ def test_cell_outside_diagram_raises():
 
 @given(partitions(max_n=25))
 def test_arm_leg_hook_relation(shape):
-    for cell in shape.cells():
-        assert (
-            arm_length(shape, cell) + leg_length(shape, cell) + 1
-            == hook_length(shape, cell)
-        )
+    for cell, hook in zip(shape.cells(), hook_lengths(shape)):
+        assert arm_length(shape, cell) + leg_length(shape, cell) + 1 == hook
 
 
 def test_remove_rim_hook_examples():
@@ -135,7 +141,7 @@ def test_enumerate_rejects_negative():
         list(enumerate_partitions(-1))
 
 
-@pytest.mark.parametrize("n", range(16))
+@pytest.mark.parametrize("n", range(26))
 def test_enumerate_distinct_and_ordered(n):
     seen = list(enumerate_partitions(n))
     assert len(set(seen)) == len(seen)

@@ -118,6 +118,31 @@ def test_small_hook_bound_reports_a_failing_shape(monkeypatch):
     assert case.detail == "bound fails at (1,)"
 
 
+@pytest.mark.parametrize("name", ["arm_leg_hook", "rim_hook_removal", "abacus_pair_statistics"])
+def test_a_hook_off_by_one_fails_each_case_that_reads_hooks_cell_by_cell(monkeypatch, name):
+    # these cases judge the oracle scans and the bit-word against the
+    # corpus's production hooks, so one slipped hook of (1,) must show
+    hooks = verify._hooks
+
+    def slipped(n):
+        first, *rest = hooks(n)
+        return ((first[0] + 1, *first[1:]), *rest)
+
+    assert verify.point(name, 1) is None
+    monkeypatch.setattr(verify, "_hooks", slipped)
+    assert verify.point(name, 1) is not None
+
+
+@pytest.mark.parametrize("name", ["smoothing_bounds", "phi_injection"])
+def test_divisible_parts_serve_every_point_of_the_cases_that_read_them(name):
+    _, cap, ts = verify._SWEEPS[name]
+    for n in range(cap + 1):
+        for t in range(ts[0], ts[-1] + 1):
+            divisibles = verify._divisibles(n, t)
+            assert divisibles == tuple(corequotient.decompose(shape, t).divisible
+                                       for shape in verify._shapes(n))
+
+
 # one slip in a production route each, and the first row its case fails at
 @pytest.mark.parametrize("check, module, route, slip, point, extra, detail", [
     (verify.check_residue_identities, hookstats, "residue_census",
