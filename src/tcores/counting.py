@@ -4,7 +4,8 @@ quadratic form behind core sizes, and leading-order estimates.
 
 The five integer series share one engine built on the sparse Euler factor
 E(x) = prod (1 - x^k) (see below).  Each power E^j and 1/E^j is kept once,
-for every t, and c, C and S as one list per (kind, t); all of them only
+for every t, and c, C and S as one list per (kind, t), as are
+distribution's exact means E[core size] (kind "mean"); all of them only
 grow, so a request extends them from where they stopped and is served as a
 prefix, under one module lock.  d_t is spread out of P^t on each request.
 """
@@ -73,7 +74,7 @@ class SeriesTable:
 _LOCK = threading.Lock()
 _E_POWERS: list[list[int]] = []               # E^j at index j - 1
 _P_POWERS: list[list[int]] = []               # P^j = E^-j at index j - 1
-_SERIES: dict[tuple[str, int], list[int]] = {}  # (kind, t) -> c, C or S
+_SERIES: dict[tuple[str, int], list] = {}      # (kind, t) -> c, C, S or mean
 
 
 def clear_tables() -> None:
@@ -190,12 +191,17 @@ def _sigma_sum_store(t: int, hi: int) -> list[int]:
     return out
 
 
-def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
-    t = None if kind == "p" else _require_t(t)
-    max_n = _require_int(max_n, "max_n", 0)
+def _require_max_n(max_n: int, low: int = 0) -> int:
+    max_n = _require_int(max_n, "max_n", low)
     if max_n > SERIES_MAX_N:
         raise ValueError(
             f"the counting series are capped at n={SERIES_MAX_N}; got n={max_n}")
+    return max_n
+
+
+def _serve(kind: str, t: int | None, max_n: int, store) -> SeriesTable:
+    t = None if kind == "p" else _require_t(t)
+    max_n = _require_max_n(max_n)
     with _LOCK:
         values = store(max_n) if t is None else store(t, max_n)
         return SeriesTable(kind, t, tuple(values[:max_n + 1]))

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
+from . import counting
 from .counting import (
     core_count_table,
     divisible_count_table,
@@ -76,6 +77,9 @@ def _upper_gamma_cont_frac(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+# figure1 reads the same grid column on every request: the last 1024
+# (params, x) are kept, and a refused x raises before anything is kept
+@lru_cache(maxsize=1024)
 def gamma_cdf(params: GammaParams, x: float) -> float:
     """CDF of the gamma law: P(alpha, y) at y = beta * x, where P(a, y) is
     the lower incomplete gamma function over Gamma(a), to 1e-10 absolute.
@@ -192,12 +196,18 @@ def expected_core_size(t: int, n: int) -> tuple[Fraction, float]:
 
 
 def expected_core_sizes(t: int, max_n: int) -> list[tuple[Fraction, float]]:
-    """expected_core_size(t, n) for n = 1..max_n, reading each series once."""
-    max_n = _require_int(max_n, "max_n", 1)
+    """expected_core_size(t, n) for n = 1..max_n.  The means of each t are
+    one list kept with the counting series: a request extends it from where
+    the last one stopped, under their lock, and is served a prefix;
+    counting.clear_tables() releases it."""
     t = _require_t(t)
-    p = partition_count_table(max_n).values
-    s = sigma_sum_table(t, max_n).values
-    return [_expected(t, n, p[n], s[n]) for n in range(1, max_n + 1)]
+    max_n = counting._require_max_n(max_n, 1)
+    with counting._LOCK:
+        means = counting._SERIES.setdefault(("mean", t), [])
+        if len(means) < max_n:
+            p, s = counting._power(-1, max_n), counting._sigma_sum_store(t, max_n)
+            means.extend(_expected(t, n, p[n], s[n]) for n in range(len(means) + 1, max_n + 1))
+        return means[:max_n]
 
 
 def scaled_pmf_points(pmf: CoreSizePMF) -> list[tuple[int, float, Fraction, float]]:

@@ -184,16 +184,17 @@ def _intern_cores(vectors: list[tuple[int, ...]], t: int) -> tuple[PartitionShap
     return tuple(interned[v] for v in vectors)
 
 
-# The points where a case reads divisible parts: smoothing_bounds sweeps
-# them all, phi_injection those with n <= 18 and t <= 4.  There _cores
-# also finds each shape's divisible part in the one division it makes.  A
-# shape with an empty t-core is its own divisible part, and that of every
-# shape with its quotient (James and Kerber 2.7), so each part is looked up
-# by quotient among the shapes of its size, never assembled, and no other
-# shape's quotient is kept.
-_DIVISIBLE_CAP, _DIVISIBLE_TS = 20, range(2, 6)
+@functools.cache
+def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
+    # each shape is divided once and only its vector is held
+    return _intern_cores([corequotient._divide(shape, t)[0] for shape in _shapes(n)], t)
+
+
+# smoothing_bounds and phi_injection read divisible parts.  A shape with an
+# empty t-core is its own divisible part, and that of every shape with its
+# quotient (James and Kerber 2.7), so each part is looked up by quotient
+# among the shapes of its size, never assembled.
 _balanced: dict[tuple[int, int], dict] = {}
-_divisible_parts: dict[tuple[int, int], tuple[PartitionShape, ...]] = {}
 
 
 def _by_quotient(shapes, divided) -> dict[tuple[PartitionShape, ...], PartitionShape]:
@@ -201,7 +202,7 @@ def _by_quotient(shapes, divided) -> dict[tuple[PartitionShape, ...], PartitionS
 
 
 def _balanced_shapes(m: int, t: int) -> dict[tuple[PartitionShape, ...], PartitionShape]:
-    # _cores(m, t) fills this when it runs first, as in a sweep up from n = 0
+    # _divisibles(m, t) fills this when it runs first, as in a sweep up from n = 0
     if (m, t) not in _balanced:
         divided = [corequotient._divide(shape, t) for shape in _shapes(m)]
         _balanced[m, t] = _by_quotient(_shapes(m), divided)
@@ -209,22 +210,13 @@ def _balanced_shapes(m: int, t: int) -> dict[tuple[PartitionShape, ...], Partiti
 
 
 @functools.cache
-def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
-    # each shape is divided once; past the shared points its quotient is
-    # dropped at once, so only the vectors are held
-    if n > _DIVISIBLE_CAP or t not in _DIVISIBLE_TS:
-        return _intern_cores([corequotient._divide(shape, t)[0] for shape in _shapes(n)], t)
-    divided = [corequotient._divide(shape, t) for shape in _shapes(n)]
-    cores = _intern_cores([v for v, _ in divided], t)
-    _balanced[n, t] = _by_quotient(_shapes(n), divided)
-    _divisible_parts[n, t] = tuple(_balanced_shapes(n - rho.size, t)[q]
-                                   for rho, (_, q) in zip(cores, divided))
-    return cores
-
-
 def _divisibles(n: int, t: int) -> tuple[PartitionShape, ...]:
-    _cores(n, t)
-    return _divisible_parts[n, t]
+    # each shape is divided a second time here, so that _cores keeps no
+    # quotient; only the balanced shapes' quotients are held
+    divided = [corequotient._divide(shape, t) for shape in _shapes(n)]
+    _balanced[n, t] = _by_quotient(_shapes(n), divided)
+    return tuple(_balanced_shapes(n - rho.size, t)[q]
+                 for rho, (_, q) in zip(_cores(n, t), divided))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +686,7 @@ def check_action_properties(n: int, t: int):
                 return {}, f"shift route disagrees at {shape.parts}"
 
 
-@_sweep("hookstats", "smoothing_bounds", _DIVISIBLE_CAP, _DIVISIBLE_TS)
+@_sweep("hookstats", "smoothing_bounds", 20, range(2, 6))
 def check_smoothing_bounds(n: int, t: int):
     """Canonical smoothings against the spread and small-hook bounds, n <= 20."""
     for shape, rho, nu in zip(_shapes(n), _cores(n, t), _divisibles(n, t)):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tcores import counting, hookstats
-from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _emit, run
+from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _CSV_TEXT, _emit, run
 from tcores.corequotient import core
 from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import act_on_divisible, b_smoothing, permutation_from_word
@@ -498,6 +498,58 @@ def test_emit_writes_each_value_type_as_before():
         '    "b",\n    "c",\n    "d",\n    "e",\n    "f",\n    "g"\n  ],\n  "rows": [\n'
         '    [\n      7,\n      true,\n      "-1/3",\n      0.1,\n      -0.0,\n'
         '      Infinity,\n      "a b"\n    ]\n  ]\n}\n')
+
+
+# every value type a CSV row can hold, with the floats and ints that take
+# the %-spec path at its edges
+_CSV_VALUES = (
+    st.integers() | st.integers(-2**300, 2**300),
+    st.booleans(),
+    st.fractions(),
+    st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+    st.text(),
+)
+
+
+def _csv_reference(columns, rows) -> str:
+    return "".join(",".join([_CSV_TEXT[type(v)](v) for v in row]) + "\n"
+                   for row in [columns, *rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 15, 16, 255, 256, 257, 513]), st.data())
+def test_csv_blocks_write_each_value_as_its_csv_text(count, data):
+    # one pool of values per column, cycled down the rows; the last column
+    # switches from its pool to values of any type at a row that may fall
+    # inside a block
+    pools = data.draw(st.lists(st.sampled_from(_CSV_VALUES).flatmap(
+        lambda values: st.lists(values, min_size=1, max_size=3)), min_size=1, max_size=4))
+    switch = data.draw(st.integers(0, max(count - 1, 0)))
+    late = data.draw(st.lists(st.one_of(*_CSV_VALUES), min_size=1, max_size=3))
+    rows = [[pool[i % len(pool)] for pool in pools]
+            + [late[i % len(late)] if i >= switch else pools[0][0]] for i in range(count)]
+    columns = [f"c{j}" for j in range(len(pools) + 1)]
+    assert _emitted("csv", columns, rows) == _csv_reference(columns, rows)
+
+
+@pytest.mark.parametrize("count, switch", [
+    (513, 0), (513, 100), (513, 255), (513, 256), (513, 300), (15, 7), (16, 7)])
+def test_csv_column_that_changes_type_keeps_each_value_text(count, switch):
+    rows = [[i, 0.1 * i, 10**40 + i if i < switch else Fraction(i, 7),
+             "s" if i < switch else (i % 2 == 0), -0.0 if i % 3 else math.nan]
+            for i in range(count)]
+    columns = list("abcde")
+    assert _emitted("csv", columns, rows) == _csv_reference(columns, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3]],                      # short row in the first block
+    [[1, 2]] * 300 + [[1, 2, 3]],       # long row in the second block
+    [[1]] * 3,                          # every row shorter than the header
+])
+def test_csv_refuses_a_row_of_another_length(rows):
+    with pytest.raises(ValueError, match="must have 2 values"):
+        _emitted("csv", ["a", "b"], rows)
 
 
 @given(st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3))

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcores import counting, oracles, verify
+from tcores import counting, distribution, oracles, verify
 from tcores.corequotient import core
 from tcores.partitions import enumerate_partitions
 
@@ -130,6 +130,16 @@ def test_threads_extend_one_store():
             assert table.values == expected[:len(table)]
     assert counting.core_sum_table(7, ORACLE_N).values == expected
     assert counting.core_count_table(7, ORACLE_N).values == dense_oracle("c", 7)
+
+
+def test_threads_extend_one_store_of_means():
+    cold = [distribution.expected_core_size(7, n) for n in range(1, ORACLE_N + 1)]
+    counting.clear_tables()
+    plans = [(40, 120, 260, ORACLE_N), (ORACLE_N, 399, 15, 333), (7, 300, 8, 350)]
+    served = _race(lambda sizes: [distribution.expected_core_sizes(7, n) for n in sizes], plans)
+    for sizes, means in zip(plans, served):
+        assert [len(m) for m in means] == list(sizes)
+        assert all(m == cold[:len(m)] for m in means)
 
 
 def test_threads_across_t_extend_shared_powers():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tcores import distribution as dist, verify
+from tcores import counting, distribution as dist, verify
 from tcores.hookstats import exact_residue_distribution
 
 SQRT6_OVER_PI = math.sqrt(6.0) / math.pi
@@ -95,6 +95,21 @@ def test_gamma_cdf_error_function_closed_form():
         assert abs(dist.gamma_cdf(params, x) - math.erf(math.sqrt(x))) < 1e-10
 
 
+def test_gamma_cdf_memo_serves_the_cold_values_and_never_keeps_nan():
+    params = dist.gamma_params(5)
+    xs = [s * 0.05 for s in range(81)] + [-1.0, math.inf]
+    dist.gamma_cdf.cache_clear()
+    cold = [dist.gamma_cdf(params, x) for x in xs]
+    assert cold == [dist.gamma_cdf.__wrapped__(params, x) for x in xs]
+    assert [dist.gamma_cdf(params, x) for x in xs] == cold
+    assert [dist.gamma_cdf(dist.gamma_params(5), x) for x in xs] == cold
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be a number"):
+            dist.gamma_cdf(params, math.nan)
+    info = dist.gamma_cdf.cache_info()
+    assert (info.currsize, info.maxsize) == (len(xs), 1024)
+
+
 def test_gamma_moment_values():
     for t in (2, 3, 4, 5):
         params = dist.gamma_params(t)
@@ -155,6 +170,23 @@ def test_expected_core_size_three_routes(t):
         assert (exact, asym) == dist.expected_core_size(t, n)
         if n <= 400:
             assert exact == n * (1 - t * exact_residue_distribution(t, n)[0])
+
+
+@pytest.mark.parametrize("sizes", [(10, 90, 400), (400, 90, 1), (150, 150, 150)])
+def test_grown_means_equal_a_cold_build(sizes):
+    # ascending, descending and repeated requests, for two t at once, each
+    # equal to the means read entry by entry off the series tables
+    cold = {t: [dist.expected_core_size(t, n) for n in range(1, 401)] for t in (3, 5)}
+    counting.clear_tables()
+    for max_n in sizes:
+        for t in (3, 5):
+            served = dist.expected_core_sizes(t, max_n)
+            assert served == cold[t][:max_n]
+            served.clear()                 # a served list is the caller's own
+    assert len(counting._SERIES["mean", 3]) == max(sizes)
+    counting.clear_tables()
+    assert not counting._SERIES
+    assert dist.expected_core_sizes(5, 400) == cold[5]
 
 
 @pytest.mark.parametrize("t", [1, 0, -3, 100_001])
