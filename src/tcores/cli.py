@@ -23,24 +23,21 @@ from . import counting, distribution, hookstats, sampling, verify
 from .partitions import MAX_T, _require_t, make_partition
 from .verify import SCHEMA_VERSION
 
-# orbit lists all t! permutations: t = 7 takes seconds, t = 8 over half a minute
+# orbit lists all t! permutations, a row each; the cost at the cap is in
+# README's caps table
 ORBIT_MAX_T = 7
 
-# orbit prints a b-smoothing column for each b = 0..max_b: at t = 7 the cap
-# takes about 0.3 s and 19 MB, in CSV and JSON alike, as rows stream
+# orbit prints a b-smoothing column for each b = 0..max_b; the cost at the
+# cap is in README's caps table
 ORBIT_MAX_B = 300
 
 # figure1's CDF grid has round(grid_max / grid_step) + 1 rows and a column per
-# n value; at the cap, one n value (3 * 10^5 rows) takes about 1.1 s and 41 MB
-# in CSV (1.6 s in JSON), the three default n (10^5 rows) about 0.5 s and 50 MB
+# n value; the cost at the cap is in README's caps table
 FIGURE1_MAX_CELLS = 300_000
 
 # draws per request: hooks --mode sample --samples, verify --samples and
-# sample --count; at n = 4000 a sample row, one full unrank, costs 57-245 us
-# as the host's speed varies, and a sampled hook, which descends only to the
-# drawn cell's column, about half a full unrank's time (96 against 181 us
-# alternated in one process), so the cap is up to about 25 s of drawing
-# (README); unranking, not seeding, sets that cost
+# sample --count; each draw unranks a partition, a sampled hook only down to
+# the drawn cell's column; the cost at the cap is in README's caps table
 MAX_DRAWS = 100_000
 
 
@@ -59,11 +56,8 @@ _CSV_TEXT = {
 
 # CSV rows go out in blocks of at most _CSV_BLOCK; in a block, a column whose
 # values all have one of these types is written by its %-spec, which gives
-# _CSV_TEXT's text, and any other column value by value through _CSV_TEXT.
-# A block of fewer than _CSV_FEW rows is written value by value: there the
-# per-column set-up costs more than it saves (a 3-row exact hook law, about
-# 65 us in all, took 6.5 us longer through the columns, 2-core x86-64 VM)
-_CSV_BLOCK, _CSV_FEW = 256, 16
+# _CSV_TEXT's text, and any other column value by value through _CSV_TEXT
+_CSV_BLOCK = 256
 _CSV_SPEC = {int: "%s", str: "%s", float: "%.17g"}
 
 # a row holds scalars only, so the compact encoder with the item separator of
@@ -83,10 +77,6 @@ def _emit(out: IO[str], args, columns: list[str], rows) -> None:
         while block := list(itertools.islice(rows, _CSV_BLOCK)):
             if set(map(len, block)) != {len(columns)}:
                 raise ValueError(f"a CSV row must have {len(columns)} values, one per column")
-            if len(block) < _CSV_FEW:
-                out.write("".join([",".join([_CSV_TEXT[type(v)](v) for v in row]) + "\n"
-                                   for row in block]))
-                continue
             specs, cells = [], []
             for column in zip(*block):
                 kinds = set(map(type, column))

@@ -20,10 +20,8 @@ from typing import Sequence
 
 from .partitions import _require_int, _require_t
 
-# every series is refused beyond this n: from a cold start, the four tables of
-# `counts --series p,c,d,C --t 2` to n = 50 000 take 2.9 to 3.5 s and 28 MB, and
-# pmf, moments and figure1 at t = 2 take 2.3 to 3.2 s and 27 MB each (child
-# process wall and ru_maxrss, 2-core x86-64 VM, Python 3.11)
+# every series is refused beyond this n: each table holds n + 1 big integers,
+# so time and memory grow with it; the cost at the cap is in README's caps table
 SERIES_MAX_N = 50_000
 
 

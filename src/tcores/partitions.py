@@ -82,9 +82,8 @@ def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
 
 
 # the counting series hold the powers E^j and 1/E^j for j = 1..t, shared by
-# every modulus, and division makes t runner lists, whatever n is: at
-# t = 10^5 a command takes about 37 MB at n = 10 and 50 MB at n = 50 000, at
-# 3 * 10^5 about 75 and 110 MB
+# every modulus, and division makes t runner lists, whatever n is; the cost
+# at the cap is in README's caps table
 MAX_T = 100_000
 
 

@@ -77,9 +77,8 @@ def _euler(sums, sums2, sums3, m: int, k: int) -> int:
 
 
 # The largest n build_sampler serves.  The quarter rows hold about n^2/8
-# integers of up to log2 p(n) bits; one process running
-# `sample --n N --count 10` peaks at about 44 MB of RSS for N = 2000 and
-# 147 MB for N = 4000.
+# integers of up to log2 p(n) bits; the cost at the cap is in README's caps
+# table.
 SAMPLER_MAX_N = 4000
 
 # the quarter rows 0..len-1 and S_1, S_2, S_3 through index len, shared by

@@ -153,7 +153,7 @@ def point(name: str, n: int, t: int | None = None):
 # Many cases sweep the same partitions, their words, t-cores and divisible
 # parts.  Each is built once per process, so no point rebuilds what another
 # point or case already has; the case caps bound it all to n <= 30 and t <= 6
-# (about 18 MB; the words take 2.5 MB and the divisible parts 0.9 MB).
+# (about 17 MB; the words take 2.5 MB, the divisible parts' tuples 0.1 MB).
 
 
 @functools.cache
@@ -176,47 +176,24 @@ def _words(n: int) -> tuple[abacus.AbacusWord, ...]:
     return tuple(abacus.abacus_from_partition(shape) for shape in _shapes(n))
 
 
-def _intern_cores(vectors: list[tuple[int, ...]], t: int) -> tuple[PartitionShape, ...]:
-    # a t-core is fixed by its justification vector (James and Kerber 2.7):
-    # each distinct vector is assembled once and the cores are interned by
-    # it, so each distinct core is held once
+@functools.cache
+def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
+    # each shape is divided once and only its vector is held; a t-core is
+    # fixed by that vector (James and Kerber 2.7), so each distinct vector is
+    # assembled once and the cores are interned by it
+    vectors = [corequotient._divide(shape, t)[0] for shape in _shapes(n)]
     interned = {v: corequotient._assemble(v, (EMPTY,) * t, t) for v in set(vectors)}
     return tuple(interned[v] for v in vectors)
 
 
 @functools.cache
-def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
-    # each shape is divided once and only its vector is held
-    return _intern_cores([corequotient._divide(shape, t)[0] for shape in _shapes(n)], t)
-
-
-# smoothing_bounds and phi_injection read divisible parts.  A shape with an
-# empty t-core is its own divisible part, and that of every shape with its
-# quotient (James and Kerber 2.7), so each part is looked up by quotient
-# among the shapes of its size, never assembled.
-_balanced: dict[tuple[int, int], dict] = {}
-
-
-def _by_quotient(shapes, divided) -> dict[tuple[PartitionShape, ...], PartitionShape]:
-    return {q: shape for shape, (v, q) in zip(shapes, divided) if not any(v)}
-
-
-def _balanced_shapes(m: int, t: int) -> dict[tuple[PartitionShape, ...], PartitionShape]:
-    # _divisibles(m, t) fills this when it runs first, as in a sweep up from n = 0
-    if (m, t) not in _balanced:
-        divided = [corequotient._divide(shape, t) for shape in _shapes(m)]
-        _balanced[m, t] = _by_quotient(_shapes(m), divided)
-    return _balanced[m, t]
-
-
-@functools.cache
 def _divisibles(n: int, t: int) -> tuple[PartitionShape, ...]:
-    # each shape is divided a second time here, so that _cores keeps no
-    # quotient; only the balanced shapes' quotients are held
-    divided = [corequotient._divide(shape, t) for shape in _shapes(n)]
-    _balanced[n, t] = _by_quotient(_shapes(n), divided)
-    return tuple(_balanced_shapes(n - rho.size, t)[q]
-                 for rho, (_, q) in zip(_cores(n, t), divided))
+    # smoothing_bounds and phi_injection read divisible parts.  Each shape is
+    # divided a second time here, so that _cores keeps no quotient, and each
+    # part is assembled and interned as the corpus's own shape of its size
+    parts = (corequotient._assemble((0,) * t, corequotient._divide(shape, t)[1], t)
+             for shape in _shapes(n))
+    return tuple(_shapes(nu.size)[_index(nu.size)[nu]] for nu in parts)
 
 
 # ---------------------------------------------------------------------------

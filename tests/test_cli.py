@@ -1,5 +1,8 @@
+import ast
 import contextlib
+import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -14,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import tcores
 from tcores import counting, hookstats
 from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _CSV_TEXT, _emit, run
 from tcores.corequotient import core
@@ -415,6 +419,39 @@ def test_figure2_cap_is_refused_before_any_pmf(capsys, monkeypatch):
     monkeypatch.setattr(counting, "_sigma_sum_store", fail)
     assert run(["figure2", "--t", "3", "--max-n", str(SERIES_MAX_N + 1)]) == 2
     assert str(SERIES_MAX_N) in capsys.readouterr().err
+
+
+def _caps() -> dict[str, int]:
+    """Every public module-level constant of tcores whose name holds MAX, as
+    `module.NAME` -> its value; a name a module imports is not its own."""
+    caps = {}
+    for path in sorted(Path(tcores.__file__).parent.glob("*.py")):
+        module = importlib.import_module("tcores" if path.stem == "__init__" else f"tcores.{path.stem}")
+        label = module.__name__.removeprefix("tcores.")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+                caps.update((f"{label}.{name}", getattr(module, name))
+                            for name in names if "MAX" in name and not name.startswith("_"))
+    return caps
+
+
+def _readme_number(value: int) -> str:
+    # README groups digits by threes with a space from five digits up: 4000, 50 000
+    return f"{value:,}".replace(",", " ") if value >= 10_000 else str(value)
+
+
+def test_readme_caps_table_names_every_cap():
+    # README's caps table is the one place each cap's cost is kept, so each
+    # cap has a row there under its current name and value, and no row
+    # names a cap the code no longer has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| cap |"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    named = {row.split(" | ")[0].removeprefix("| ") for row in rows}
+    assert named == {f"`{name}` = {_readme_number(value)}" for name, value in _caps().items()}
 
 
 @pytest.mark.parametrize("argv", [

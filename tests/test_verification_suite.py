@@ -141,6 +141,9 @@ def test_divisible_parts_serve_every_point_of_the_cases_that_read_them(name):
             divisibles = verify._divisibles(n, t)
             assert divisibles == tuple(corequotient.decompose(shape, t).divisible
                                        for shape in verify._shapes(n))
+            # each part is interned: the corpus's own shape, held once
+            assert all(nu is verify._shapes(nu.size)[verify._index(nu.size)[nu]]
+                       for nu in divisibles)
 
 
 # one slip in a production route each, and the first row its case fails at
