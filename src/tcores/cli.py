@@ -45,46 +45,31 @@ def _rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# a value's CSV text, by its type
-_CSV_TEXT = {
-    bool: lambda value: "true" if value else "false",
-    int: str,
-    str: str,
-    Fraction: _rational,
-    float: lambda value: format(value, ".17g"),
-}
-
-# CSV rows go out in blocks of at most _CSV_BLOCK; in a block, a column whose
-# values all have one of these types is written by its %-spec, which gives
-# _CSV_TEXT's text, and any other column value by value through _CSV_TEXT
+# CSV rows go out in blocks of at most _CSV_BLOCK, one write each
 _CSV_BLOCK = 256
-_CSV_SPEC = {int: "%s", str: "%s", float: "%.17g"}
 
 # a row holds scalars only, so the compact encoder with the item separator of
 # depth 2 writes its items as json.dumps(payload, indent=2) does
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), default=_rational)
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def _emit(out: IO[str], args, columns: list[str], rows) -> None:
-    """Write the header, then the rows as they come, in args.format: CSV in
-    blocks of _CSV_BLOCK rows, one write each, refusing a row whose length
-    is not the header's; JSON row by row, byte for byte
-    json.dumps(payload, indent=2) of the whole payload, with args.command as
-    its command."""
+def _emit(out: IO[str], args, columns: list[str], line: str, rows) -> None:
+    """Write the header, then the rows as they come, in args.format.  A row
+    is a tuple of ints, strs and floats; its command renders a rational
+    with _rational and a boolean as true or false.  CSV goes out in blocks
+    of _CSV_BLOCK rows, one write each, every row as line % row: line is the
+    row's %-format, one spec per column, %s for an int or a str and %.17g
+    for a real.  A row whose length is not the header's is refused.  JSON
+    goes out row by row, byte for byte json.dumps(payload, indent=2) of the
+    whole payload, with args.command as its command."""
     if args.format == "csv":
         out.write(",".join(columns) + "\n")
+        line += "\n"
         rows = iter(rows)
         while block := list(itertools.islice(rows, _CSV_BLOCK)):
             if set(map(len, block)) != {len(columns)}:
                 raise ValueError(f"a CSV row must have {len(columns)} values, one per column")
-            specs, cells = [], []
-            for column in zip(*block):
-                kinds = set(map(type, column))
-                spec = _CSV_SPEC.get(kinds.pop()) if len(kinds) == 1 else None
-                specs.append(spec or "%s")
-                cells.append(column if spec else [_CSV_TEXT[type(v)](v) for v in column])
-            line = ",".join(specs) + "\n"
-            out.write("".join([line % row for row in zip(*cells)]))
+            out.write("".join([line % row for row in block]))
         return
     head = json.dumps(
         {"schema_version": SCHEMA_VERSION, "command": args.command, "columns": columns},
@@ -163,8 +148,8 @@ def _cmd_counts(args, out) -> int:
         raise ValueError("--t is required for the c, d and C series")
     series = [_COUNT_SERIES[s] for s in args.series]
     tables = [table(args.t, args.max_n).values for _, table in series]
-    _emit(out, args, ["n", *(column for column, _ in series)],
-          zip(range(args.max_n + 1), *tables))
+    columns = ["n", *(column for column, _ in series)]
+    _emit(out, args, columns, ",".join(["%s"] * len(columns)), zip(range(args.max_n + 1), *tables))
     return 0
 
 
@@ -173,10 +158,10 @@ def _cmd_pmf(args, out) -> int:
     cores = counting.core_count_table(args.t, args.n)
     divis = counting.divisible_count_table(args.t, args.n)
     rows = [
-        [k, cores[k], divis[args.n - k], mass, float(mass)]
+        (k, cores[k], divis[args.n - k], _rational(mass), float(mass))
         for k, mass in sorted(pmf.masses.items())
     ]
-    _emit(out, args, ["k", "c_t", "d_t_rest", "mass", "mass_float"], rows)
+    _emit(out, args, ["k", "c_t", "d_t_rest", "mass", "mass_float"], "%s,%s,%s,%s,%.17g", rows)
     return 0
 
 
@@ -187,15 +172,15 @@ def _cmd_moments(args, out) -> int:
         pmf = distribution.core_size_pmf(args.t, n)
         for k in range(1, args.max_k + 1):
             try:
-                rows.append([
+                rows.append((
                     n, k,
                     distribution.scaled_moment(pmf, k),
                     distribution.gamma_moment(params, k),
-                ])
+                ))
             except OverflowError:
                 raise ValueError(f"--max-k {args.max_k} is too large: the moments "
                                  f"of order {k} at n={n} do not fit a float") from None
-    _emit(out, args, ["n", "k", "scaled_moment", "gamma_moment"], rows)
+    _emit(out, args, ["n", "k", "scaled_moment", "gamma_moment"], "%s,%s,%.17g,%.17g", rows)
     return 0
 
 
@@ -226,25 +211,27 @@ def _cmd_figure1(args, out) -> int:
         xs = [s * args.grid_step for s in range(round(steps) + 1)]
         cdfs = [_cdf_on_grid(distribution.core_size_pmf(args.t, n), xs) for n in args.n]
         columns = ["x", *(f"cdf_n{n}" for n in args.n), "gamma_cdf"]
+        line = ",".join(["%.17g"] * len(columns))
         rows = (
-            [x, *(cdf[i] for cdf in cdfs), distribution.gamma_cdf(params, x)]
+            (x, *(cdf[i] for cdf in cdfs), distribution.gamma_cdf(params, x))
             for i, x in enumerate(xs)
         )
     else:
         columns = ["n", "k", "x", "mass", "density"]
+        line = "%s,%s,%.17g,%s,%.17g"
         rows = []
         for n in args.n:
             pmf = distribution.core_size_pmf(args.t, n)
             for k, x, mass, density in distribution.scaled_pmf_points(pmf):
-                rows.append([n, k, x, mass, density])
-    _emit(out, args, columns, rows)
+                rows.append((n, k, x, _rational(mass), density))
+    _emit(out, args, columns, line, rows)
     return 0
 
 
 def _cmd_figure2(args, out) -> int:
     means = distribution.expected_core_sizes(args.t, args.max_n)
-    rows = ([n, exact, asym] for n, (exact, asym) in enumerate(means, start=1))
-    _emit(out, args, ["n", "expected_exact", "asymptote"], rows)
+    rows = ((n, _rational(exact), asym) for n, (exact, asym) in enumerate(means, start=1))
+    _emit(out, args, ["n", "expected_exact", "asymptote"], "%s,%s,%.17g", rows)
     return 0
 
 
@@ -252,17 +239,19 @@ def _cmd_hooks(args, out) -> int:
     if args.mode == "exact":
         xs = hookstats.exact_residue_distribution(args.t, args.n)
         columns = ["residue", "probability", "probability_float"]
-        rows = [[i, x, float(x)] for i, x in enumerate(xs)]
+        line = "%s,%s,%.17g"
+        rows = [(i, _rational(x), float(x)) for i, x in enumerate(xs)]
     else:
         estimates, errors = hookstats.sampled_residue_distribution(
             args.t, args.n, args.samples, args.seed
         )
         columns = ["residue", "estimate", "standard_error", "samples", "seed"]
+        line = "%s,%.17g,%.17g,%s,%s"
         rows = [
-            [i, est, err, args.samples, args.seed]
+            (i, est, err, args.samples, args.seed)
             for i, (est, err) in enumerate(zip(estimates, errors))
         ]
-    _emit(out, args, columns, rows)
+    _emit(out, args, columns, line, rows)
     return 0
 
 
@@ -280,19 +269,19 @@ def _cmd_orbit(args, out) -> int:
     # every row's image comes from the division that checked nu, one at a time
     images = hookstats._images(
         divided, args.t, map(hookstats.permutation_from_word, words))
-    rows = ([word, _render_parts(image.parts), *smoothings]
+    rows = ((word, _render_parts(image.parts), *smoothings)
             for word, image in zip(words, images))
-    _emit(out, args, columns, rows)
+    _emit(out, args, columns, ",".join(["%s"] * len(columns)), rows)
     return 0
 
 
 def _cmd_sample(args, out) -> int:
     table = sampling.build_sampler(args.n)
     rows = (
-        [i, _render_parts(sampling.unrank_partition(table, rank).parts)]
+        (i, _render_parts(sampling.unrank_partition(table, rank).parts))
         for i, (rank,) in enumerate(sampling.index_draws(args.seed, args.count, table.total))
     )
-    _emit(out, args, ["index", "partition"], rows)
+    _emit(out, args, ["index", "partition"], "%s,%s", rows)
     return 0
 
 
@@ -303,8 +292,8 @@ def _cmd_verify(args, out) -> int:
     if args.format == "json":
         out.write(report.to_json() + "\n")
     else:
-        _emit(out, args, ["case", "passed", "detail"],
-              [[c.name, c.passed, c.detail] for c in report.cases])
+        _emit(out, args, ["case", "passed", "detail"], "%s,%s,%s",
+              [(c.name, "true" if c.passed else "false", c.detail) for c in report.cases])
     return 0 if report.passed else 1
 
 

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tcores
 from tcores import counting, hookstats
-from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _CSV_TEXT, _emit, run
+from tcores.cli import MAX_DRAWS, ORBIT_MAX_B, ORBIT_MAX_T, _emit, run
 from tcores.corequotient import core
 from tcores.counting import SERIES_MAX_N
 from tcores.hookstats import act_on_divisible, b_smoothing, permutation_from_word
@@ -494,7 +494,8 @@ def test_reader_closing_early_ends_quietly(argv):
     assert err == b""
 
 
-@pytest.mark.parametrize("argv", [
+# one command line per data subcommand, with each view and mode
+_DATA_COMMANDS = [
     "counts --t 3 --max-n 20",
     "pmf --t 3 --n 11",
     "moments --t 3 --n 25,50 --max-k 2",
@@ -505,94 +506,107 @@ def test_reader_closing_early_ends_quietly(argv):
     "hooks --t 3 --n 9 --mode sample --samples 50",
     "orbit --t 3 --nu 7,3,2",
     "sample --n 12 --count 3",
-])
+]
+
+
+@pytest.mark.parametrize("argv", _DATA_COMMANDS)
 def test_json_rows_stream_as_one_payload(capsys, argv):
     code, out = run_capture(capsys, *argv.split(), "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def _emitted(fmt: str, columns: list[str], rows) -> str:
-    out = io.StringIO()
-    _emit(out, SimpleNamespace(format=fmt, command="x"), columns, iter(rows))
-    return out.getvalue()
-
-
-@pytest.mark.parametrize("rows", [[], [[1, Fraction(1, 3), 0.1, True, "a\nb"]]])
-def test_emit_writes_json_dumps_bytes(rows):
-    payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"],
-               "rows": [[1, "1/3", 0.1, True, "a\nb"]] if rows else []}
-    assert _emitted("json", ["a", "b"], rows) == json.dumps(payload, indent=2) + "\n"
-
-
-def test_emit_writes_each_value_type_as_before():
-    columns = list("abcdefg")
-    row = [7, True, Fraction(-2, 6), 0.1, -0.0, math.inf, "a b"]
-    assert _emitted("csv", columns, [row]) == (
-        "a,b,c,d,e,f,g\n7,true,-1/3,0.10000000000000001,-0,inf,a b\n")
-    assert _emitted("json", columns, [row]) == (
-        '{\n  "schema_version": 1,\n  "command": "x",\n  "columns": [\n    "a",\n'
-        '    "b",\n    "c",\n    "d",\n    "e",\n    "f",\n    "g"\n  ],\n  "rows": [\n'
-        '    [\n      7,\n      true,\n      "-1/3",\n      0.1,\n      -0.0,\n'
-        '      Infinity,\n      "a b"\n    ]\n  ]\n}\n')
-
-
-# every value type a CSV row can hold, with the floats and ints that take
-# the %-spec path at its edges
-_CSV_VALUES = (
-    st.integers() | st.integers(-2**300, 2**300),
-    st.booleans(),
-    st.fractions(),
-    st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
-    st.text(),
-)
+def _csv_text(value) -> str:
+    """A value's CSV text by its type: what each command's declared row
+    format must give for the value JSON carries."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _csv_reference(columns, rows) -> str:
-    return "".join(",".join([_CSV_TEXT[type(v)](v) for v in row]) + "\n"
-                   for row in [columns, *rows])
+    return "".join(",".join(map(_csv_text, row)) + "\n" for row in [columns, *rows])
+
+
+@pytest.mark.parametrize("argv", [
+    *_DATA_COMMANDS, "verify --suite all --max-n 5", "verify --suite all --max-n 8"])
+def test_csv_writes_each_json_value_by_its_type(capsys, argv):
+    code, csv_out = run_capture(capsys, *argv.split(), "--format", "csv")
+    assert (code, capsys.readouterr().err) == (0, "")
+    payload = json.loads(run_capture(capsys, *argv.split(), "--format", "json")[1])
+    if argv.startswith("verify"):
+        columns = ["case", "passed", "detail"]
+        rows = [[case["name"], case["passed"], case["detail"]] for case in payload["cases"]]
+    else:
+        columns, rows = payload["columns"], payload["rows"]
+    assert rows
+    assert csv_out == _csv_reference(columns, rows)
+
+
+def _emitted(fmt: str, columns: list[str], line: str, rows) -> str:
+    out = io.StringIO()
+    _emit(out, SimpleNamespace(format=fmt, command="x"), columns, line, iter(rows))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("rows", [[], [(1, "-1/3", 0.1, "a\nb")]])
+def test_emit_writes_json_dumps_bytes(rows):
+    payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"],
+               "rows": [list(row) for row in rows]}
+    assert _emitted("json", ["a", "b"], "%s,%s", rows) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_writes_each_value_type_as_before():
+    columns = list("abcdefgh")
+    row = (7, -2**301, "-1/3", 0.1, -0.0, math.inf, math.nan, "a b")
+    line = "%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%s"
+    assert _emitted("csv", columns, line, [row]) == (
+        f"a,b,c,d,e,f,g,h\n7,{-2**301},-1/3,0.10000000000000001,-0,inf,nan,a b\n")
+    assert _emitted("json", columns, line, [row]) == (
+        '{\n  "schema_version": 1,\n  "command": "x",\n  "columns": [\n    "a",\n'
+        '    "b",\n    "c",\n    "d",\n    "e",\n    "f",\n    "g",\n    "h"\n  ],\n'
+        f'  "rows": [\n    [\n      7,\n      {-2**301},\n      "-1/3",\n      0.1,\n'
+        '      -0.0,\n      Infinity,\n      NaN,\n      "a b"\n    ]\n  ]\n}\n')
+
+
+# each column kind a command declares, its %-spec and its values, with the
+# floats and ints at the edges of the spec
+_CSV_KINDS = (
+    ("%s", st.integers() | st.integers(-2**300, 2**300)),
+    ("%.17g", st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])),
+    ("%s", st.text()),
+)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([0, 1, 15, 16, 255, 256, 257, 513]), st.data())
 def test_csv_blocks_write_each_value_as_its_csv_text(count, data):
-    # one pool of values per column, cycled down the rows; the last column
-    # switches from its pool to values of any type at a row that may fall
-    # inside a block
-    pools = data.draw(st.lists(st.sampled_from(_CSV_VALUES).flatmap(
-        lambda values: st.lists(values, min_size=1, max_size=3)), min_size=1, max_size=4))
-    switch = data.draw(st.integers(0, max(count - 1, 0)))
-    late = data.draw(st.lists(st.one_of(*_CSV_VALUES), min_size=1, max_size=3))
-    rows = [[pool[i % len(pool)] for pool in pools]
-            + [late[i % len(late)] if i >= switch else pools[0][0]] for i in range(count)]
-    columns = [f"c{j}" for j in range(len(pools) + 1)]
-    assert _emitted("csv", columns, rows) == _csv_reference(columns, rows)
-
-
-@pytest.mark.parametrize("count, switch", [
-    (513, 0), (513, 100), (513, 255), (513, 256), (513, 300), (15, 7), (16, 7)])
-def test_csv_column_that_changes_type_keeps_each_value_text(count, switch):
-    rows = [[i, 0.1 * i, 10**40 + i if i < switch else Fraction(i, 7),
-             "s" if i < switch else (i % 2 == 0), -0.0 if i % 3 else math.nan]
-            for i in range(count)]
-    columns = list("abcde")
-    assert _emitted("csv", columns, rows) == _csv_reference(columns, rows)
+    # one pool of values per column, each of one declared kind, cycled down
+    # the rows across block boundaries
+    kinds = data.draw(st.lists(st.sampled_from(_CSV_KINDS), min_size=1, max_size=4))
+    pools = [data.draw(st.lists(values, min_size=1, max_size=3)) for _, values in kinds]
+    rows = [tuple(pool[i % len(pool)] for pool in pools) for i in range(count)]
+    columns = [f"c{j}" for j in range(len(kinds))]
+    line = ",".join(spec for spec, _ in kinds)
+    assert _emitted("csv", columns, line, rows) == _csv_reference(columns, rows)
 
 
 @pytest.mark.parametrize("rows", [
-    [[1, 2], [3]],                      # short row in the first block
-    [[1, 2]] * 300 + [[1, 2, 3]],       # long row in the second block
-    [[1]] * 3,                          # every row shorter than the header
+    [(1, 2), (3,)],                     # short row in the first block
+    [(1, 2)] * 300 + [(1, 2, 3)],       # long row in the second block
+    [(1,)] * 3,                         # every row shorter than the header
 ])
 def test_csv_refuses_a_row_of_another_length(rows):
     with pytest.raises(ValueError, match="must have 2 values"):
-        _emitted("csv", ["a", "b"], rows)
+        _emitted("csv", ["a", "b"], "%s,%s", rows)
 
 
-@given(st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3))
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=3))
 def test_emit_writes_json_dumps_bytes_of_any_float(rows):
-    payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"], "rows": rows}
-    assert _emitted("json", ["a", "b"], rows) == json.dumps(payload, indent=2) + "\n"
+    payload = {"schema_version": 1, "command": "x", "columns": ["a", "b"],
+               "rows": [list(row) for row in rows]}
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert _emitted("json", ["a", "b"], "%.17g,%.17g", rows) == expected
 
 
 def test_parser_is_reused_across_calls(capsys):
