@@ -153,5 +153,12 @@ def merge_runners(tr: TRunner) -> AbacusWord:
     t = tr.t
     lo = min((r.offset - 1) * t + i for i, r in enumerate(tr.runners))
     hi = max((r.offset + len(r.window)) * t + i for i, r in enumerate(tr.runners))
-    bits = [tr.bit(g) for g in range(lo, hi + 1)]
+    bits = [0] * (hi - lo + 1)
+    for i, r in enumerate(tr.runners):
+        # runner i's first global position from lo on is lo + k, at runner
+        # position (lo + k) // t; it is 1 there up to its window, which the
+        # bounds above keep inside, and 0 after it
+        k = (i - lo) % t
+        ones = r.offset - (lo + k) // t
+        bits[k:k + (ones + len(r.window)) * t:t] = (1,) * ones + r.window
     return make_word(bits, lo)

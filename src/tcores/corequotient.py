@@ -1,13 +1,15 @@
 """t-cores, t-quotients and the division bijection between a partition and
 its (core, t-divisible) pair, computed on the bead positions of the t-runner
-abacus: _divide reads off each runner's justification position p_i and its
-quotient component q_i (James and Kerber 1981, 2.7); _assemble puts them back.
+abacus: _positions reads off each runner's justification position p_i, _divide
+adds its quotient component q_i (James and Kerber 1981, 2.7), and _assemble
+puts them back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
 
+from .counting import f_t
 from .partitions import EMPTY, PartitionShape, _require_t
 
 
@@ -31,20 +33,31 @@ def _beads(parts: tuple[int, ...]) -> list[int]:
     return [part - j for j, part in enumerate(parts, start=1)]
 
 
+def _positions(shape: PartitionShape, t: int) -> tuple[int, ...]:
+    # a bead sits at level * t + runner; padded to m * t rows, each runner is
+    # full below level -m, so p_i is its bead count - m (James and Kerber 2.7)
+    t = _require_t(t)
+    parts = shape.parts
+    rows = len(parts)
+    m = -(-rows // t)
+    counts = [-m] * t
+    for j, part in enumerate(parts, start=1):
+        counts[(part - j) % t] += 1  # row j's bead, as in _beads
+    for j in range(rows + 1, m * t + 1):
+        counts[-j % t] += 1
+    return tuple(counts)
+
+
 def _divide(
     shape: PartitionShape, t: int
 ) -> tuple[tuple[int, ...], tuple[PartitionShape, ...]]:
-    # a bead sits at level * t + runner; padded to m * t rows, each runner is
-    # full below level -m, so p_i is its bead count - m, and its k-th bead
-    # from the top, at level L, gives part L - p_i + k of q_i
-    t = _require_t(t)
-    parts = shape.parts
-    m = -(-len(parts) // t)
+    # the k-th bead of runner i from the top, at level L, gives part
+    # L - p_i + k of q_i; the padding's beads, full at the bottom, give none
+    positions = _positions(shape, t)
     levels: list[list[int]] = [[] for _ in range(t)]
-    for j, part in enumerate(parts + (0,) * (m * t - len(parts)), start=1):
-        level, runner = divmod(part - j, t)  # row j's bead, as in _beads
+    for j, part in enumerate(shape.parts, start=1):
+        level, runner = divmod(part - j, t)
         levels[runner].append(level)
-    positions = tuple(len(beads) - m for beads in levels)
     # a runner whose top bead sits at p_i - 1 is justified: q_i is empty
     return positions, tuple(
         PartitionShape(tuple(x for k, level in enumerate(beads, start=1)
@@ -75,13 +88,14 @@ def _assemble(
 
 
 def is_core(shape: PartitionShape, t: int) -> bool:
-    """True when every runner of the balanced abacus is justified."""
-    return all(q == EMPTY for q in _divide(shape, t)[1])
+    """True when every runner of the balanced abacus is justified: the core
+    at the positions, of size f_t (Garvan, Kim and Stanton), is the shape."""
+    return f_t(_positions(shape, t), t) == shape.size
 
 
 def core(shape: PartitionShape, t: int) -> PartitionShape:
     """The t-core: justify each runner and read the merged word back."""
-    return _assemble(_divide(shape, t)[0], (EMPTY,) * t, t)
+    return _assemble(_positions(shape, t), (EMPTY,) * t, t)
 
 
 def quotient(shape: PartitionShape, t: int) -> tuple[PartitionShape, ...]:
@@ -91,7 +105,7 @@ def quotient(shape: PartitionShape, t: int) -> tuple[PartitionShape, ...]:
 
 def justification_vector(shape: PartitionShape, t: int) -> tuple[int, ...]:
     """Justification positions of the core's runners; sums to zero."""
-    return _divide(shape, t)[0]
+    return _positions(shape, t)
 
 
 def decompose(shape: PartitionShape, t: int) -> CoreQuotient:
@@ -113,7 +127,7 @@ def compose(
     t = _require_t(t)
     if len(quot) != t:
         raise ValueError(f"quotient must have exactly {t} components, got {len(quot)}")
-    positions, core_quot = _divide(core_shape, t)
-    if any(q != EMPTY for q in core_quot):
+    positions = _positions(core_shape, t)
+    if f_t(positions, t) != core_shape.size:
         raise ValueError(f"{core_shape.parts} is not a {t}-core")
     return _assemble(positions, quot, t)

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import abacus
 from .counting import f_t
@@ -41,36 +41,35 @@ from .sampling import _mix64, build_sampler, unrank_partition
 # the lattice form and the divisor sum
 
 
-def _coordinate_ranges(t: int, max_n: int) -> list[range]:
-    # every solution of f_t = n <= max_n lies in the ball
-    #   sum (p_i - (t-1-2i)/(2t))^2 = (2/t)(n + (t^2-1)/24)
-    radius = math.sqrt(2.0 * (max_n + (t * t - 1) / 24.0) / t) + 1e-9
-    ranges = []
-    for i in range(t):
-        center = (t - 1 - 2 * i) / (2 * t)
-        ranges.append(range(math.ceil(center - radius), math.floor(center + radius) + 1))
-    return ranges
-
-
 def lattice_core_histogram(t: int, max_n: int) -> tuple[int, ...]:
-    """Count zero-sum integer vectors with f_t = n for every n <= max_n."""
+    """Count zero-sum integer vectors with f_t = n for every n <= max_n.
+
+    With y_i = 2t p_i - (t-1-2i), a zero-sum p has sum y_i^2 = 8t f_t(p) +
+    (t-1)t(t+1)/3, so f_t <= max_n is an integer ball in the y_i.  The walk
+    fixes p_0, p_1, ... depth first inside it, and the last coordinate is
+    minus the sum of the others: each leaf in the ball is one vector.
+    """
     t = _require_t(t)
     max_n = _require_int(max_n, "max_n", 0)
-    ranges = _coordinate_ranges(t, max_n)
-    last = ranges[-1]
     counts = [0] * (max_n + 1)
-    weights = tuple(range(t))
-    for head in itertools.product(*ranges[:-1]):
-        tail = -sum(head)
-        if tail not in last:
-            continue
-        p = head + (tail,)
-        # doubled form stays in integers; the true value is always integral
-        twice = t * sum(x * x for x in p) + 2 * sum(i * x for i, x in zip(weights, p))
-        value, rem = divmod(twice, 2)
-        assert rem == 0
-        if 0 <= value <= max_n:
-            counts[value] += 1
+    step, last = 2 * t, t - 1
+
+    def walk(i: int, total: int, room: int) -> None:
+        # room is what the ball leaves for y_i^2 + ... + y_{t-1}^2
+        center, r = last - 2 * i, math.isqrt(room)
+        for p in range(-((r - center) // step), (center + r) // step + 1):
+            left = room - (step * p - center) ** 2
+            if i < last - 1:
+                walk(i + 1, total + p, left)
+            else:
+                left -= (step * (total + p) - last) ** 2  # y_{t-1} at -(total + p)
+                if left >= 0:
+                    # left = 8t (max_n - f_t)
+                    gap, rem = divmod(left, 4 * step)
+                    assert rem == 0
+                    counts[max_n - gap] += 1
+
+    walk(0, 0, 4 * step * max_n + (t - 1) * t * (t + 1) // 3)
     return tuple(counts)
 
 
@@ -80,24 +79,20 @@ def lattice_core_count(t: int, n: int) -> int:
     return lattice_core_histogram(t, n)[n]
 
 
-def mod_solution_count(t: int, n_mod: int) -> int:
-    """Solutions of f_t = n mod t on the zero-sum hyperplane of (Z/tZ)^t.
+def mod_solution_counts(t: int) -> tuple[int, ...]:
+    """Solutions of f_t = r mod t on the zero-sum hyperplane of (Z/tZ)^t,
+    for each residue r.
 
-    Each residue tuple with coordinate sum divisible by t is lifted to an
-    honest zero-sum integer vector before evaluating f_t, so the residue of
-    the value is well defined.  The count is t**(t-2) for every residue.
+    Each solution class has one head in range(t)^(t-1); its last coordinate
+    is minus the head's sum, which makes an honest zero-sum integer vector,
+    so the residue of the value is well defined.  The count is t**(t-2) for
+    every residue.
     """
     t = _require_t(t)
-    target = _require_int(n_mod, "n_mod") % t
-    count = 0
-    for q in itertools.product(range(t), repeat=t):
-        s = sum(q)
-        if s % t:
-            continue
-        lifted = q[:-1] + (q[-1] - s,)
-        if f_t(lifted, t) % t == target:
-            count += 1
-    return count
+    counts = [0] * t
+    for head in itertools.product(range(t), repeat=t - 1):
+        counts[f_t(head + (-sum(head),), t) % t] += 1
+    return tuple(counts)
 
 
 def ball_volume(t: int, n: int) -> float:
@@ -292,26 +287,28 @@ def quotient_by_contents(shape: PartitionShape, t: int) -> tuple[PartitionShape,
     return tuple(out)
 
 
-def act_on_partition_via_shifts(
-    sigma: Sequence[int], shape: PartitionShape, t: int
-) -> PartitionShape:
-    """The quotient action computed directly on the runners.
+def images_via_shifts(
+    shape: PartitionShape, t: int, sigmas: Iterable[Sequence[int]]
+) -> Iterator[PartitionShape]:
+    """The quotient action computed directly on the runners, for each sigma.
 
-    Runner i of the image is runner sigma[i] of the input shifted by the
-    difference of the core justification positions; must agree with
+    The shape is split into runners and each is justified once.  Runner i of
+    an image is runner sigma[i] of the input shifted by the difference of
+    the core justification positions; must agree with
     hookstats.act_on_partition everywhere.
     """
     t = _require_t(t)
-    sigma = _require_permutation(sigma, t)
-    tr = abacus.split_runners(abacus.abacus_from_partition(shape), t)
-    positions = [abacus.justify(r)[1] for r in tr.runners]
-    moved = tuple(
-        abacus.shift(tr.runners[sigma[i]], positions[sigma[i]] - positions[i])
-        for i in range(t)
-    )
-    return abacus.partition_from_abacus(
-        abacus.merge_runners(abacus.TRunner(t, moved))
-    )
+    runners = abacus.split_runners(abacus.abacus_from_partition(shape), t).runners
+    positions = [abacus.justify(r)[1] for r in runners]
+    for sigma in sigmas:
+        sigma = _require_permutation(sigma, t)
+        moved = tuple(
+            abacus.shift(runners[sigma[i]], positions[sigma[i]] - positions[i])
+            for i in range(t)
+        )
+        yield abacus.partition_from_abacus(
+            abacus.merge_runners(abacus.TRunner(t, moved))
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ partitions is exactly uniform and every sample is a pure function of
 (seed, index).
 
 Row m of the table does not depend on n, so one list of rows, grown on demand,
-serves every n as a prefix.  Only the first quarter of each row is stored; the
-rest follows from Euler's identity and three running sums of p.
+serves every n as a prefix.  Rows below m = 16 are stored whole; of every
+other row only the first quarter is stored, and the rest follows from Euler's
+identity and three running sums of p.
 """
 from __future__ import annotations
 
@@ -34,7 +35,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class SamplerTable:
     """The counts count(m, k) of partitions of m with every part <= k, m <= n.
 
-    rows[m] holds the first quarter of row m, k = 0..m//4.  Every larger k
+    rows[m] holds row m whole, k = 0..m, for m < 16 (_WHOLE_ROWS), where a
+    quarter holds at most 4 entries and a descent leaves it most often, and
+    the first quarter of row m, k = 0..m//4, above.  Every larger k
     follows from Euler's identity prod_{j>k} (1 - q^j) = sum_i (-1)^i
     q^{ik + i(i+1)/2} / (q;q)_i (Andrews, The Theory of Partitions, ch. 2):
     count(m, k) = sum_i (-1)^i S_i[m - ik], where S_i[x] is the coefficient
@@ -81,8 +84,11 @@ def _euler(sums, sums2, sums3, m: int, k: int) -> int:
 # table.
 SAMPLER_MAX_N = 4000
 
-# the quarter rows 0..len-1 and S_1, S_2, S_3 through index len, shared by
-# every table and extended in place under the lock
+# rows below this m are stored whole, the rest as their first quarter
+_WHOLE_ROWS = 16
+
+# the rows 0..len-1 and S_1, S_2, S_3 through index len, shared by every
+# table and extended in place under the lock
 _LOCK = threading.Lock()
 _ROWS: list[tuple[int, ...]] = [(1,)]
 _SUMS: list[int] = [0, 1]
@@ -100,17 +106,22 @@ def clear_tables() -> None:
 
 def _grow(n: int) -> None:
     """Extend the rows and sums through m = n.  Row m accumulates
-    count(m - k, k) over k = 1..m//4: a stored entry of row m - k while
-    k <= m/5, and Euler's identity beyond, where 4k > m - k.  p comes from
-    the counting series."""
+    count(m - k, k) over its stored k.  A whole row (m < 16) reads the
+    whole row m - k, clamped at k = m - k; a quarter row reads a stored
+    entry of row m - k while k <= m/5, and Euler's identity beyond, where
+    4k > m - k.  p comes from the counting series."""
     rows, sums, sums2, sums3 = _ROWS, _SUMS, _SUMS2, _SUMS3
     if len(rows) > n:
         return
     p = partition_count_table(n).values
     for m in range(len(rows), n + 1):
-        fifth, quarter = m // 5, m // 4
-        smaller = [rows[m - k][k] for k in range(1, fifth + 1)]
-        smaller += [_euler(sums, sums2, sums3, m - k, k) for k in range(fifth + 1, quarter + 1)]
+        if m < _WHOLE_ROWS:
+            smaller = [rows[m - k][min(k, m - k)] for k in range(1, m + 1)]
+        else:
+            fifth, quarter = m // 5, m // 4
+            smaller = [rows[m - k][k] for k in range(1, fifth + 1)]
+            smaller += [_euler(sums, sums2, sums3, m - k, k)
+                        for k in range(fifth + 1, quarter + 1)]
         rows.append(tuple(accumulate(smaller, initial=0)))
         sums.append(sums[m] + p[m])
         sums2.append(sums2[m - 1] + sums[m - 1])
@@ -141,8 +152,9 @@ def _descend(
 
     Ranks 0 .. p(n)-1 enumerate every partition of n exactly once: at each
     step the next (largest remaining) part j is the least value whose
-    cumulative count exceeds the rank.  A part above m/4 lies past the
-    stored quarter row; it is found by bisecting Euler's identity instead.
+    cumulative count exceeds the rank.  A part above m/4, for m >= 16, lies
+    past the stored quarter row; it is found by bisecting Euler's identity
+    instead.
     Once parts are capped at 2 the rest is closed form: count(m, 1) = 1, so
     rank r takes r twos, then ones.
 

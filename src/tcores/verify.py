@@ -178,10 +178,10 @@ def _words(n: int) -> tuple[abacus.AbacusWord, ...]:
 
 @functools.cache
 def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
-    # each shape is divided once and only its vector is held; a t-core is
-    # fixed by that vector (James and Kerber 2.7), so each distinct vector is
-    # assembled once and the cores are interned by it
-    vectors = [corequotient._divide(shape, t)[0] for shape in _shapes(n)]
+    # only each shape's positions are read; a t-core is fixed by that vector
+    # (James and Kerber 2.7), so each distinct vector is assembled once and
+    # the cores are interned by it
+    vectors = [corequotient._positions(shape, t) for shape in _shapes(n)]
     interned = {v: corequotient._assemble(v, (EMPTY,) * t, t) for v in set(vectors)}
     return tuple(interned[v] for v in vectors)
 
@@ -189,8 +189,8 @@ def _cores(n: int, t: int) -> tuple[PartitionShape, ...]:
 @functools.cache
 def _divisibles(n: int, t: int) -> tuple[PartitionShape, ...]:
     # smoothing_bounds and phi_injection read divisible parts.  Each shape is
-    # divided a second time here, so that _cores keeps no quotient, and each
-    # part is assembled and interned as the corpus's own shape of its size
+    # divided here, as _cores reads positions only, and each part is
+    # assembled and interned as the corpus's own shape of its size
     parts = (corequotient._assemble((0,) * t, corequotient._divide(shape, t)[1], t)
              for shape in _shapes(n))
     return tuple(_shapes(nu.size)[_index(nu.size)[nu]] for nu in parts)
@@ -435,8 +435,7 @@ def check_mod_counts(max_n: int):
     """Residue-class solution counts of f_t against t^(t-2), t = 2..5."""
     ts = [2, 3, 4, 5]
     for t in ts:
-        for residue in range(t):
-            got = oracles.mod_solution_count(t, residue)
+        for residue, got in enumerate(oracles.mod_solution_counts(t)):
             if got != t ** (t - 2):
                 return _fail({"t": t, "residue": residue},
                              f"got {got}, want {t ** (t - 2)}")
@@ -651,15 +650,17 @@ def check_action_properties(n: int, t: int):
     index, cores = _index(n), _cores(n, t)
     sigmas = list(permutations(range(t)))
     for shape, rho in zip(_shapes(n), cores):
-        # one division of shape for all t! images, the identity's first
-        divided = corequotient._divide(shape, t)
-        for sigma, image in zip(sigmas, hookstats._images(divided, t, sigmas)):
+        # one division of shape for all t! images, the identity's first, and
+        # one runner split for the shift route's
+        images = hookstats._images(corequotient._divide(shape, t), t, sigmas)
+        shifted = oracles.images_via_shifts(shape, t, sigmas)
+        for sigma, image, moved in zip(sigmas, images, shifted):
             if sigma == sigmas[0] and image != shape:
                 return {}, f"identity fails at {shape.parts}"
             # an image of size n has an index, and its core is the corpus's
             if image not in index or cores[index[image]] != rho:
                 return {}, f"size/core not preserved at {shape.parts}"
-            if image != oracles.act_on_partition_via_shifts(sigma, shape, t):
+            if image != moved:
                 return {}, f"shift route disagrees at {shape.parts}"
 
 
@@ -738,8 +739,8 @@ def check_sampler_table(max_n: int):
     for m in range(limit + 1):
         if table.count(m, m) != p[m]:
             return _fail({"m": m}, "row total wrong")
-        # cells past m/4 come from Euler's identity, so the recurrence
-        # crosses the stored quarter and the derived rest of each row
+        # from m = 16 on, cells past m/4 come from Euler's identity, so the
+        # recurrence crosses the stored quarter and the derived rest of a row
         for k in range(1, m + 1):
             if table.count(m, k) != table.count(m, k - 1) + table.count(m - k, k):
                 return _fail({"m": m, "k": k}, "recurrence fails")

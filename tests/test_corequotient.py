@@ -150,7 +150,9 @@ INTEGER_ARGUMENTS = {
     "sample_partition": ("index", 0, lambda index: sampling.sample_partition(SAMPLER, 1, index)),
     "lattice_core_histogram": ("max_n", 0, lambda n: oracles.lattice_core_histogram(3, n)),
     "lattice_core_count": ("n", 0, lambda n: oracles.lattice_core_count(3, n)),
-    "mod_solution_count": ("n_mod", None, lambda n_mod: oracles.mod_solution_count(3, n_mod)),
+    "mod_solution_counts": ("t", 2, oracles.mod_solution_counts),
+    "images_via_shifts": (
+        "t", 2, lambda t: next(oracles.images_via_shifts(RUNNING, t, [(1, 0)]))),
     "ball_volume": ("n", 0, lambda n: oracles.ball_volume(3, n)),
     "c3_divisor_counts": ("max_n", 0, oracles.c3_divisor_counts),
     "quotient_by_contents": ("t", 2, lambda t: oracles.quotient_by_contents(RUNNING, t)),

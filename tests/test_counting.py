@@ -277,10 +277,9 @@ def test_lattice_counts():
 
 
 def test_mod_solution_counts():
-    assert oracles.mod_solution_count(3, 0) == 3
-    assert oracles.mod_solution_count(3, 2) == 3
-    assert oracles.mod_solution_count(2, 1) == 1
-    assert oracles.mod_solution_count(5, 4) == 125
+    assert oracles.mod_solution_counts(3) == (3, 3, 3)
+    assert oracles.mod_solution_counts(2) == (1, 1)
+    assert oracles.mod_solution_counts(5) == (125,) * 5
 
 
 def test_covolume_and_volume():

@@ -10,7 +10,7 @@ from tcores import hookstats as hs, verify
 from tcores.corequotient import core, decompose
 from tcores.counting import SERIES_MAX_N
 from tcores.oracles import (
-    act_on_partition_via_shifts,
+    images_via_shifts,
     hook_length,
     residue_law_by_enumeration,
     sampled_residues_per_index,
@@ -201,11 +201,12 @@ def test_action_on_partition_fixes_cores():
 def test_action_on_partition_preserves_size_and_core():
     lam = make_partition([10, 3])
     images = set()
-    for sigma in permutations(range(3)):
+    sigmas = list(permutations(range(3)))
+    for sigma, moved in zip(sigmas, images_via_shifts(lam, 3, sigmas)):
         image = hs.act_on_partition(sigma, lam, 3)
         assert image.size == 13
         assert core(image, 3) == make_partition([1])
-        assert image == act_on_partition_via_shifts(sigma, lam, 3)
+        assert image == moved
         images.add(image)
     assert len(images) == 6
 

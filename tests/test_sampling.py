@@ -136,10 +136,11 @@ def test_build_sampler_rejects_negative():
         sp.build_sampler(-1)
 
 
-def test_rows_hold_only_the_first_quarter():
+def test_rows_hold_whole_small_rows_then_the_first_quarter():
     # the layout behind the table's memory, counted in entries, not bytes
     table = sp.build_sampler(ORACLE_N)
-    assert [len(row) for row in table.rows] == [m // 4 + 1 for m in range(ORACLE_N + 1)]
+    assert [len(row) for row in table.rows] == [
+        m + 1 if m < 16 else m // 4 + 1 for m in range(ORACLE_N + 1)]
 
 
 def test_build_sampler_refuses_above_budget_without_building():
