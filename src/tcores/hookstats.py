@@ -78,7 +78,8 @@ def sampled_residue_distribution(
 
     Each sample draws one uniform partition and one uniform cell of it, so
     the estimates are multinomial proportions; the result depends only on
-    (seed, samples), never on scheduling.  A draw unranks the partition only
+    (seed, samples), never on scheduling or the number of cores that share
+    the draws (sampling.tally_draws).  A draw unranks the partition only
     down to the drawn cell's column (sampling.hook_at), not in full.
     """
     t = _require_t(t)
@@ -86,10 +87,10 @@ def sampled_residue_distribution(
     samples = _require_int(samples, "samples", 1)
     seed = _require_int(seed, "seed")
     table = sampling.build_sampler(n)
-    counts = [0] * t
-    for rank, cell in sampling.index_draws(seed, samples, table.total, n):
-        counts[sampling.hook_at(table, rank, cell) % t] += 1
-    estimates = tuple(c / samples for c in counts)
+    counts = sampling.tally_draws(
+        seed, samples, lambda rank, cell: sampling.hook_at(table, rank, cell) % t,
+        table.total, n)
+    estimates = tuple(counts.get(i, 0) / samples for i in range(t))
     errors = tuple(math.sqrt(p * (1.0 - p) / samples) for p in estimates)
     return estimates, errors
 

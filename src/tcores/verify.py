@@ -765,7 +765,7 @@ def check_sampler_frequencies(max_n: int, seed: int, samples: int):
     n = 8
     table = sampling.build_sampler(n)
     # p(8) = 22 distinct ranks: each is unranked once, however often drawn
-    ranks = Counter(rank for rank, in sampling.index_draws(seed, samples, table.total))
+    ranks = sampling.tally_draws(seed, samples, lambda rank: rank, table.total)
     counts = Counter()
     for rank, drawn in ranks.items():
         counts[sampling.unrank_partition(table, rank).parts] += drawn

@@ -290,7 +290,8 @@ def test_seed_takes_the_64_bit_range(capsys):
 
 
 def test_draws_build_no_generator(capsys, monkeypatch):
-    # every draw reseeds its thread's generator; none builds a random.Random
+    # each index draws from a C generator of its own; none builds a
+    # random.Random
     built = []
 
     class Counted(random.Random):

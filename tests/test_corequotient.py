@@ -145,6 +145,10 @@ INTEGER_ARGUMENTS = {
     "index_draws_count": ("count", 0, lambda count: next(sampling.index_draws(1, count, 2))),
     "index_draws_bounds": (
         "each entry of bounds", 1, lambda b: next(sampling.index_draws(1, 2, 2, b))),
+    "tally_draws_seed": ("seed", None, lambda seed: sampling.tally_draws(seed, 2, int, 5)),
+    "tally_draws_count": ("count", 0, lambda count: sampling.tally_draws(1, count, int, 2)),
+    "tally_draws_bounds": (
+        "each entry of bounds", 1, lambda b: sampling.tally_draws(1, 2, max, 2, b)),
     "sample_partition_seed": (
         "seed", None, lambda seed: sampling.sample_partition(SAMPLER, seed, 0)),
     "sample_partition": ("index", 0, lambda index: sampling.sample_partition(SAMPLER, 1, index)),

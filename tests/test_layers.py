@@ -4,9 +4,13 @@ Production keeps one algorithm per quantity; the second routes that check
 it (the bit-word abacus, the diagram scans, rim-hook walks, lattice points)
 live in `oracles` and `abacus`, and only `verify` and the tests reach them.
 The graph is read from the package-relative imports of the source, so no
-module is imported to check it.
+module is imported to check it; one test imports the CLI in a fresh
+interpreter to see which standard modules come with it.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,14 @@ def test_partitions_keeps_no_diagram_scan():
                  if isinstance(node, ast.ClassDef) and node.name == "PartitionShape")
     assert "contains" not in {node.name for node in shape.body
                               if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_cli_imports_no_process_pool():
+    # tallies split across processes by os.fork and marshal, both loaded at
+    # start-up; a pool or pickle would add to every request's set-up and RSS
+    probe = ("import sys, tcores.cli; print(*sorted({'pickle', 'multiprocessing', "
+             "'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")

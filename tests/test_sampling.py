@@ -1,6 +1,8 @@
+import os
 import random
 import sys
 import threading
+import time
 from collections import Counter
 from functools import cache
 from itertools import accumulate, islice
@@ -281,7 +283,8 @@ def test_index_draws_refuse_empty_ranges(bounds):
 
 
 def test_interleaved_streams_draw_as_each_alone():
-    # one thread's generator serves both streams and the calls between them
+    # each index seeds a generator of its own, so weaving two streams
+    # together and drawing between them changes no value
     bounds = (1000, 22, 1)
     first, second = list(sp.index_draws(5, 40, *bounds)), list(sp.index_draws(6, 40, *bounds))
     table = sp.build_sampler(9)
@@ -324,3 +327,133 @@ def test_threads_extend_one_store():
         for table in tables:
             assert_matches_dense(table)
     assert len(sp._ROWS) == 401 and len(sp._SUMS) == 402
+
+
+def test_warm_repeat_serves_the_same_table():
+    sp.clear_tables()
+    table = sp.build_sampler(583)
+    assert sp.build_sampler(583) is table
+    sp.clear_tables()
+    fresh = sp.build_sampler(583)
+    assert fresh is not table and len(sp._ROWS) == 584
+    assert (fresh.rows, fresh.sums, fresh.sums2, fresh.sums3, fresh.total) == (
+        table.rows, table.sums, table.sums2, table.sums3, table.total)
+
+
+def draws_as_key(*draws):
+    return draws
+
+
+TALLY_COUNTS = (0, 1, sp._SPLIT_DRAWS - 1, sp._SPLIT_DRAWS, sp._SPLIT_DRAWS + 4097)
+
+
+@pytest.mark.parametrize("count", TALLY_COUNTS)
+@pytest.mark.parametrize("seed, bounds", [
+    (0, (22,)), (2**64 - 3, (2**64 + 1, 7))])
+def test_tally_counts_the_stream(count, seed, bounds):
+    assert sp.tally_draws(seed, count, draws_as_key, *bounds) == Counter(
+        sp.index_draws(seed, count, *bounds))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children tally_draws forks, on two usable cores."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_tally_forks_and_reaps_one_child_whatever_the_cores(forks, monkeypatch):
+    count = sp._SPLIT_DRAWS + 3
+    expected = Counter(sp.index_draws(5, count, 9, 4))
+    assert sp.tally_draws(5, count, draws_as_key, 9, 4) == expected
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert sp.tally_draws(5, count, draws_as_key, 9, 4) == expected
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("count", [sp._SPLIT_DRAWS - 1, sp._SPLIT_DRAWS])
+def test_tally_refuses_a_key_marshal_cannot_write_split_or_not(forks, count):
+    # the same refusal on one core as across two, where the key would have
+    # to cross a pipe
+    table = sp.build_sampler(8)
+    with pytest.raises(ValueError, match="unmarshallable"):
+        sp.tally_draws(2, count, lambda rank: sp.unrank_partition(table, rank), table.total)
+    assert len(forks) == (count >= sp._SPLIT_DRAWS)
+
+
+def test_tally_keeps_the_half_a_failed_fork_left(forks, monkeypatch):
+    def refused():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", refused)
+    count = sp._SPLIT_DRAWS
+    assert sp.tally_draws(8, count, draws_as_key, 30) == Counter(sp.index_draws(8, count, 30))
+
+
+def test_tally_raises_a_childs_error(forks):
+    parent = os.getpid()
+
+    def classify(rank):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("only in the child")
+        return rank
+
+    with pytest.raises(RuntimeError, match="ZeroDivisionError: only in the child$"):
+        sp.tally_draws(1, sp._SPLIT_DRAWS, classify, 10)
+    assert len(forks) == 1
+
+
+def test_tally_interrupted_in_this_process_kills_its_child(forks):
+    # the child sleeps for a minute on its first draw: the tally ends long
+    # before, so it killed the child rather than waited for it
+    parent, slept = os.getpid(), []
+
+    def classify(rank):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        if not slept:
+            slept.append(rank)
+            time.sleep(60)
+        return rank
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sp.tally_draws(1, sp._SPLIT_DRAWS, classify, 10)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+def test_tally_from_a_second_thread_does_not_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    count, served = sp._SPLIT_DRAWS, []
+    thread = threading.Thread(
+        target=lambda: served.append(sp.tally_draws(4, count, draws_as_key, 13)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert served == [Counter(sp.index_draws(4, count, 13))]
+
+
+def test_tally_on_one_core_does_not_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    count = sp._SPLIT_DRAWS
+    assert sp.tally_draws(4, count, draws_as_key, 13) == Counter(sp.index_draws(4, count, 13))
